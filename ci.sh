@@ -35,6 +35,14 @@ if [ "$suites" -lt 70 ]; then
   exit 1
 fi
 
+echo "== benchmark harness self-test (perfbench) =="
+# perfbench is a package of its own, outside the workspace, so the
+# workspace build and tests above never compile it. The self-test runs
+# every workload at quick scale, timed and traced, and checks that every
+# metric BENCHMARK.json names is printed and that a corrupted artefact
+# and a corrupted churn world are reported as failures.
+cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --self-test
+
 echo "== microbenches (quick smoke: scheduler + xenstore hot paths) =="
 LIGHTVM_BENCH_QUICK=1 cargo bench -p bench --bench hotpath
 LIGHTVM_BENCH_QUICK=1 cargo bench -p bench --bench simcore_hot
@@ -174,11 +182,15 @@ for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
 done
 
 echo "== clone-boot gate (template boots vs --no-clone-boot) =="
-# Template boots (toolstack::cloneboot) replay recorded create deltas
-# instead of fully executing repeated creates. Like the snapshot cache,
-# they must be invisible in the artefacts: a run with template boots
-# disabled — every create fully executed — must reproduce the default
-# run's bytes exactly.
+# Template boots (toolstack::cloneboot) wrap repeated creates in
+# template bookkeeping: recorded deltas, drift and content checks,
+# first-replay dual execution. Like the snapshot cache, they must be
+# invisible in the artefacts: a run with template boots disabled —
+# every create straight through ControlPlane::create_and_boot — must
+# reproduce the default run's bytes exactly. Both runs take the same
+# guarded closed-form name check, so this gate does not compare the
+# closed form with the real scan; the toolstack unit test
+# closed_form_name_check_matches_the_real_scan carries that proof.
 LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/noclone" \
   cargo run --release -p bench --bin runall -- --no-clone-boot \
   --report "$FIG_DIR/noclone/bench_runner.json" > /dev/null

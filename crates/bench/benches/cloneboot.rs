@@ -1,10 +1,9 @@
 //! Replayed vs fully-executed create at density, per toolstack mode —
 //! the microbench behind template boots (DESIGN.md §6g): once a
 //! template is recorded, a replayed create charges identical simulated
-//! time but replaces xl's O(n) unique-name scan with a closed-form
-//! charge, so its wall cost should stay flat as the world fills while
-//! the full path grows linearly. Chaos modes have no density-dependent
-//! create phase, so replay ≈ full there — the parity is the point.
+//! time. Both sides take the plane's closed-form xl name check
+//! (DESIGN.md §6k), so the difference is what the template bookkeeping
+//! costs on top of a direct create.
 //!
 //! Both sides fork the same prepared world each iteration and then run
 //! a batch of [`BATCH`] creates, so the (identical) fork cost is

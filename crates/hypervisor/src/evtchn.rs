@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 
 use crate::domain::DomId;
+use crate::perdomain::PerDomain;
 
 /// A port number, local to the owning domain.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -19,8 +20,6 @@ enum ChannelState {
     Unbound { remote: DomId },
     /// Connected to `remote`'s `remote_port`.
     Interdomain { remote: DomId, remote_port: EvtchnPort },
-    /// Closed; port free for reuse.
-    Closed,
 }
 
 #[derive(Clone, Debug)]
@@ -30,9 +29,22 @@ struct Channel {
 }
 
 /// Per-host event channel table, keyed by (domain, port).
+///
+/// Only open channels are kept: closing a port removes it, so the table
+/// is live state. Entries are grouped by owning domain ([`PerDomain`]),
+/// so tearing a domain down costs O(its own channels), never a scan of
+/// the host's, and a world fork copies only the domains it writes.
 #[derive(Clone, Default, Debug)]
 pub struct EvtchnTable {
-    channels: HashMap<(DomId, EvtchnPort), Channel>,
+    channels: PerDomain<EvtchnPort, Channel>,
+    /// Unbound offers by the domain allowed to bind them, as
+    /// `(owner, port)`: the one kind of entry that names a domain
+    /// without a peer half among that domain's own ports (a bound
+    /// channel's peer is one). Pruned on bind and close.
+    offers: PerDomain<(DomId, EvtchnPort), ()>,
+    /// Next port per domain. Deliberately never pruned, not even when
+    /// the domain dies: a recycled domid continues its numbering, and
+    /// port numbers reach the store and with it the artefact bytes.
     next_port: HashMap<DomId, u32>,
     sends: u64,
 }
@@ -65,12 +77,14 @@ impl EvtchnTable {
     pub fn alloc_unbound(&mut self, owner: DomId, remote: DomId) -> EvtchnPort {
         let port = self.alloc_port(owner);
         self.channels.insert(
-            (owner, port),
+            owner,
+            port,
             Channel {
                 state: ChannelState::Unbound { remote },
                 pending: false,
             },
         );
+        self.offers.insert(remote, (owner, port), ());
         port
     }
 
@@ -84,16 +98,17 @@ impl EvtchnTable {
     ) -> Result<EvtchnPort, EvtchnError> {
         let ch = self
             .channels
-            .get(&(owner, port))
+            .get(owner, &port)
             .ok_or(EvtchnError::BadPort)?;
         match ch.state {
             ChannelState::Unbound { remote } if remote == binder => {}
-            ChannelState::Unbound { .. } => return Err(EvtchnError::NotPermitted),
             _ => return Err(EvtchnError::NotPermitted),
         }
+        self.offers.remove(binder, &(owner, port));
         let local = self.alloc_port(binder);
         self.channels.insert(
-            (binder, local),
+            binder,
+            local,
             Channel {
                 state: ChannelState::Interdomain {
                     remote: owner,
@@ -102,7 +117,7 @@ impl EvtchnTable {
                 pending: false,
             },
         );
-        let ch = self.channels.get_mut(&(owner, port)).expect("checked");
+        let ch = self.channels.get_mut(owner, &port).expect("checked");
         ch.state = ChannelState::Interdomain {
             remote: binder,
             remote_port: local,
@@ -112,14 +127,14 @@ impl EvtchnTable {
 
     /// `EVTCHNOP_send`: raises the pending flag on the peer's port.
     pub fn send(&mut self, dom: DomId, port: EvtchnPort) -> Result<(), EvtchnError> {
-        let (remote, remote_port) = match self.channels.get(&(dom, port)) {
+        let (remote, remote_port) = match self.channels.get(dom, &port) {
             Some(Channel {
                 state: ChannelState::Interdomain { remote, remote_port },
                 ..
             }) => (*remote, *remote_port),
             _ => return Err(EvtchnError::BadPort),
         };
-        if let Some(peer) = self.channels.get_mut(&(remote, remote_port)) {
+        if let Some(peer) = self.channels.get_mut(remote, &remote_port) {
             peer.pending = true;
             self.sends += 1;
             Ok(())
@@ -132,30 +147,26 @@ impl EvtchnTable {
     pub fn poll(&mut self, dom: DomId, port: EvtchnPort) -> Result<bool, EvtchnError> {
         let ch = self
             .channels
-            .get_mut(&(dom, port))
+            .get_mut(dom, &port)
             .ok_or(EvtchnError::BadPort)?;
         let was = ch.pending;
         ch.pending = false;
         Ok(was)
     }
 
-    /// `EVTCHNOP_close`: closes a local port; the peer end (if any)
-    /// reverts to closed as well.
+    /// `EVTCHNOP_close`: closes a local port and removes it; the peer
+    /// end (if any) is closed and removed as well.
     pub fn close(&mut self, dom: DomId, port: EvtchnPort) -> Result<(), EvtchnError> {
         let ch = self
             .channels
-            .get_mut(&(dom, port))
+            .remove(dom, &port)
             .ok_or(EvtchnError::BadPort)?;
-        let peer = match ch.state {
-            ChannelState::Interdomain { remote, remote_port } => Some((remote, remote_port)),
-            _ => None,
-        };
-        ch.state = ChannelState::Closed;
-        ch.pending = false;
-        if let Some(key) = peer {
-            if let Some(p) = self.channels.get_mut(&key) {
-                p.state = ChannelState::Closed;
-                p.pending = false;
+        match ch.state {
+            ChannelState::Unbound { remote } => {
+                self.offers.remove(remote, &(dom, port));
+            }
+            ChannelState::Interdomain { remote, remote_port } => {
+                self.channels.remove(remote, &remote_port);
             }
         }
         Ok(())
@@ -166,21 +177,13 @@ impl EvtchnTable {
     /// an unbound offer the dead domain can no longer accept. Like grant
     /// reaping, this is symmetric — otherwise each guest lifecycle leaks
     /// the backend-owned offers it never bound (e.g. the sysctl channel).
+    /// Bound peers go with the domain's own ports, offers are found
+    /// through the offer index: O(the domain's channels) in all.
     pub fn close_all(&mut self, dom: DomId) {
-        let ports: Vec<(DomId, EvtchnPort)> = self
-            .channels
-            .iter()
-            .filter(|((owner, _), ch)| {
-                *owner == dom
-                    || match ch.state {
-                        ChannelState::Unbound { remote }
-                        | ChannelState::Interdomain { remote, .. } => remote == dom,
-                        ChannelState::Closed => false,
-                    }
-            })
-            .map(|(&key, _)| key)
-            .collect();
-        for (owner, port) in ports {
+        while let Some(port) = self.channels.first_key(dom) {
+            let _ = self.close(dom, port);
+        }
+        while let Some((owner, port)) = self.offers.first_key(dom) {
             let _ = self.close(owner, port);
         }
     }
@@ -190,12 +193,10 @@ impl EvtchnTable {
         self.sends
     }
 
-    /// Number of non-closed channels.
+    /// Number of open channels — the whole table, since closed ones are
+    /// removed.
     pub fn open_channels(&self) -> usize {
-        self.channels
-            .values()
-            .filter(|c| c.state != ChannelState::Closed)
-            .count()
+        self.channels.len()
     }
 }
 
@@ -265,6 +266,53 @@ mod tests {
         assert_eq!(t.open_channels(), 6);
         t.close_all(DomId(5));
         assert_eq!(t.open_channels(), 0);
+    }
+
+    #[test]
+    fn close_all_reaps_foreign_entries_naming_the_domain() {
+        let mut t = EvtchnTable::new();
+        // Dom0-owned offers to the dying domain, never bound (the
+        // sysctl-channel shape), beside a bound pair and the domain's
+        // own offer towards Dom0.
+        let unbound = t.alloc_unbound(DomId(0), DomId(5));
+        let bp = t.alloc_unbound(DomId(0), DomId(5));
+        t.bind_interdomain(DomId(5), DomId(0), bp).unwrap();
+        t.alloc_unbound(DomId(5), DomId(0));
+        // Entries of unrelated domains survive.
+        let other = t.alloc_unbound(DomId(0), DomId(6));
+        let op = t.alloc_unbound(DomId(0), DomId(7));
+        t.bind_interdomain(DomId(7), DomId(0), op).unwrap();
+        assert_eq!(t.open_channels(), 7);
+        t.close_all(DomId(5));
+        assert_eq!(t.open_channels(), 3);
+        assert_eq!(
+            t.close(DomId(0), unbound).unwrap_err(),
+            EvtchnError::BadPort
+        );
+        assert_eq!(
+            t.bind_interdomain(DomId(6), DomId(0), other).unwrap(),
+            EvtchnPort(1)
+        );
+        assert_eq!(
+            t.offers.len(),
+            0,
+            "bound or closed offers leave no index entry"
+        );
+    }
+
+    #[test]
+    fn closed_channels_leave_the_table_but_numbering_continues() {
+        let mut t = EvtchnTable::new();
+        let bp = t.alloc_unbound(DomId(0), DomId(5));
+        let fp = t.bind_interdomain(DomId(5), DomId(0), bp).unwrap();
+        t.close(DomId(0), bp).unwrap();
+        assert_eq!(t.open_channels(), 0, "closed channels are removed");
+        assert_eq!(t.close(DomId(5), fp).unwrap_err(), EvtchnError::BadPort);
+        assert_eq!(t.poll(DomId(5), fp).unwrap_err(), EvtchnError::BadPort);
+        // A recycled domid continues its port numbering.
+        t.close_all(DomId(5));
+        let again = t.alloc_unbound(DomId(5), DomId(0));
+        assert_eq!(again, EvtchnPort(fp.0 + 1));
     }
 
     #[test]

@@ -8,6 +8,7 @@
 use std::collections::HashMap;
 
 use crate::domain::DomId;
+use crate::perdomain::PerDomain;
 
 /// A grant reference, local to the granting domain.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -36,9 +37,19 @@ struct Grant {
 }
 
 /// Per-host grant table keyed by (granter, reference).
+///
+/// Grants are grouped by granter, and the grantee index finds the
+/// grants other domains issued to a domain, so reaping a dying domain
+/// costs O(its own grants), never a scan of the host's. Both halves are
+/// [`PerDomain`] tables: a world fork copies only the domains it writes.
 #[derive(Clone, Default, Debug)]
 pub struct GrantTable {
-    grants: HashMap<(DomId, GrantRef), Grant>,
+    grants: PerDomain<GrantRef, Grant>,
+    /// Every live grant under its grantee, as `(granter, ref)`.
+    by_grantee: PerDomain<(DomId, GrantRef), ()>,
+    /// Next reference per granter. Deliberately never pruned: a
+    /// recycled domid continues its numbering, and grant refs reach the
+    /// store and with it the artefact bytes.
     next_ref: HashMap<DomId, u32>,
 }
 
@@ -60,7 +71,8 @@ impl GrantTable {
         let gref = GrantRef(*n);
         *n += 1;
         self.grants.insert(
-            (granter, gref),
+            granter,
+            gref,
             Grant {
                 grantee,
                 frame,
@@ -68,6 +80,7 @@ impl GrantTable {
                 mapped: false,
             },
         );
+        self.by_grantee.insert(grantee, (granter, gref), ());
         gref
     }
 
@@ -80,7 +93,7 @@ impl GrantTable {
     ) -> Result<u64, GrantError> {
         let g = self
             .grants
-            .get_mut(&(granter, gref))
+            .get_mut(granter, &gref)
             .ok_or(GrantError::BadRef)?;
         if g.grantee != mapper {
             return Err(GrantError::NotPermitted);
@@ -101,7 +114,7 @@ impl GrantTable {
     ) -> Result<(), GrantError> {
         let g = self
             .grants
-            .get_mut(&(granter, gref))
+            .get_mut(granter, &gref)
             .ok_or(GrantError::BadRef)?;
         if g.grantee != mapper {
             return Err(GrantError::NotPermitted);
@@ -113,25 +126,36 @@ impl GrantTable {
     /// Ends access: the granter revokes the reference. Fails while the
     /// grantee still has it mapped.
     pub fn end_access(&mut self, granter: DomId, gref: GrantRef) -> Result<(), GrantError> {
-        match self.grants.get(&(granter, gref)) {
+        match self.grants.get(granter, &gref) {
             None => Err(GrantError::BadRef),
             Some(g) if g.mapped => Err(GrantError::StillInUse),
             Some(_) => {
-                self.grants.remove(&(granter, gref));
+                self.remove(granter, gref);
                 Ok(())
             }
         }
     }
 
-    /// Whether a grant is currently read-only.
-    pub fn is_readonly(&self, granter: DomId, gref: GrantRef) -> Option<bool> {
-        self.grants.get(&(granter, gref)).map(|g| g.readonly)
+    fn remove(&mut self, granter: DomId, gref: GrantRef) {
+        if let Some(g) = self.grants.remove(granter, &gref) {
+            self.by_grantee.remove(g.grantee, &(granter, gref));
+        }
     }
 
-    /// Force-drops every grant of a dying domain (both directions).
+    /// Whether a grant is currently read-only.
+    pub fn is_readonly(&self, granter: DomId, gref: GrantRef) -> Option<bool> {
+        self.grants.get(granter, &gref).map(|g| g.readonly)
+    }
+
+    /// Force-drops every grant of a dying domain (both directions): the
+    /// grants it issued, then those the grantee index lists for it.
     pub fn drop_domain(&mut self, dom: DomId) {
-        self.grants
-            .retain(|(granter, _), g| *granter != dom && g.grantee != dom);
+        while let Some(gref) = self.grants.first_key(dom) {
+            self.remove(dom, gref);
+        }
+        while let Some((granter, gref)) = self.by_grantee.first_key(dom) {
+            self.remove(granter, gref);
+        }
     }
 
     /// Number of live grants.
@@ -141,7 +165,7 @@ impl GrantTable {
 
     /// True if no grants exist.
     pub fn is_empty(&self) -> bool {
-        self.grants.is_empty()
+        self.grants.len() == 0
     }
 }
 
@@ -201,6 +225,33 @@ mod tests {
         t.grant_access(DomId(0), DomId(6), 3, false); // unrelated
         t.drop_domain(DomId(5));
         assert_eq!(t.len(), 1);
+        assert_eq!(t.by_grantee.len(), 1);
+    }
+
+    #[test]
+    fn drop_domain_reaps_foreign_grants_naming_the_domain() {
+        let mut t = GrantTable::new();
+        // Dom0 -> guest grants (the noxs device-page shape), one mapped,
+        // beside guest -> Dom0 grants and grants between other guests.
+        let page = t.grant_access(DomId(0), DomId(5), 1, false);
+        t.map(DomId(5), DomId(0), page).unwrap();
+        t.grant_access(DomId(0), DomId(5), 2, true);
+        t.grant_access(DomId(5), DomId(0), 3, false);
+        t.grant_access(DomId(6), DomId(5), 4, false);
+        let keep = t.grant_access(DomId(0), DomId(6), 5, false);
+        let keep2 = t.grant_access(DomId(6), DomId(7), 6, false);
+        t.drop_domain(DomId(5));
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.by_grantee.len(), 2, "the index holds live grants only");
+        assert_eq!(
+            t.map(DomId(5), DomId(0), page).unwrap_err(),
+            GrantError::BadRef
+        );
+        assert_eq!(t.map(DomId(6), DomId(0), keep).unwrap(), 5);
+        t.end_access(DomId(6), keep2).unwrap();
+        assert_eq!(t.by_grantee.len(), 1);
+        // A recycled domid continues its reference numbering.
+        assert_eq!(t.grant_access(DomId(5), DomId(0), 7, false), GrantRef(2));
     }
 
     #[test]

@@ -16,6 +16,7 @@ pub mod domain;
 pub mod evtchn;
 pub mod gnttab;
 pub mod hv;
+mod perdomain;
 
 pub use devpage::{DevicePage, DevicePageEntry, DeviceKind};
 pub use domain::{DomId, Domain, DomainConfig, DomainState, ShutdownReason};

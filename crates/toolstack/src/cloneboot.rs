@@ -7,13 +7,20 @@
 //! cost inputs the traced phases read (store size, running count, log
 //! length). Subsequent creates of the same shape *replay* the delta:
 //! every phase re-executes the real toolstack code — provisioning,
-//! registration, device announce/connect, CPU contention — except xl's
-//! O(n) unique-name scan, which is the one phase whose wall cost grows
-//! with density. That scan is replaced by a closed-form charge
-//! ([`xenstore::Xenstored::replay_name_scan`]) that is integer-exactly
-//! what the per-request scan would have charged, because every
-//! protocol cost is `u64` nanosecond arithmetic and
-//! `n * per_request == Σ requests` holds bit-for-bit.
+//! registration, device announce/connect, CPU contention, and xl's
+//! unique-name check.
+//!
+//! This module does not replace the name check: its closed form
+//! ([`xenstore::Xenstored::replay_name_scan`], integer-exactly what the
+//! per-request scan charges, because every protocol cost is `u64`
+//! nanosecond arithmetic and `n * per_request == Σ requests` holds
+//! bit-for-bit) is the control plane's default for *every* xl create,
+//! behind its own uncharged guard (`ControlPlane::xl_name_check`).
+//! What this module adds on top is template bookkeeping only: the
+//! per-replay drift and content checks, first-replay dual execution,
+//! and the counters ([`totals`], [`fallback_total`]), which still count
+//! the replays whose name check took the closed form and those whose
+//! guard fell back to the real scan.
 //!
 //! Identity remapping comes for free from re-executing real code: the
 //! new guest draws its own [`hypervisor::DomId`], interns its own
@@ -29,11 +36,11 @@
 //! Merkle digests (DESIGN.md §6h) retired the sampling — **every
 //! replay is now verified**, and there is no interval constant left:
 //!
-//! 1. **Per-replay shape check** (uncharged): the closed form applies
-//!    only when `/local/domain`'s children are exactly the plane's VM
-//!    table (see `ControlPlane::xl_name_check_replay`); any foreign
-//!    node, missing entry or name collision falls back to the real
-//!    scan silently.
+//! 1. **Per-create shape check** (uncharged, in the plane itself): the
+//!    closed-form name check applies only when `/local/domain`'s
+//!    children are exactly the plane's VM table (see
+//!    `ControlPlane::xl_name_check_replay`); any foreign node, missing
+//!    entry or name collision falls back to the real scan silently.
 //! 2. **Per-replay drift + content check**: the store-node delta left
 //!    by a replayed create must equal the template's recorded delta,
 //!    *and* the guest's store subtrees (frontend/domain dir, `/vm`
@@ -293,9 +300,9 @@ pub fn template_info(cp: &ControlPlane, image: &GuestImage) -> Option<TemplateIn
 }
 
 /// [`ControlPlane::create_and_boot`] through the template cache: the
-/// first create of a shape records an exemplar, later ones replay it.
-/// Same signature, same results, same simulated charges — only the
-/// wall-clock cost of xl's name scan changes.
+/// first create of a shape records an exemplar, later ones replay it
+/// under the drift and content checks. Same signature, same results,
+/// same simulated charges.
 pub fn create_and_boot(
     cp: &mut ControlPlane,
     name: &str,
@@ -447,9 +454,10 @@ fn record_exemplar(
     result
 }
 
-/// A replayed create: real code everywhere, closed-form name scan when
-/// the shape check admits it; afterwards, the node-delta drift check
-/// and the learned-mask content check — both on *every* replay.
+/// A replayed create: real code everywhere (the plane's name check
+/// takes its closed form when its guard admits it); afterwards, the
+/// node-delta drift check and the learned-mask content check — both
+/// on *every* replay.
 fn replay(
     cp: &mut ControlPlane,
     name: &str,
@@ -457,10 +465,9 @@ fn replay(
     key: TemplateKey,
 ) -> Result<(CreateReport, SimTime), PlaneError> {
     let nodes_before = cp.xs.store().node_count() as i64;
-    cp.fast_name_scan = true;
+    cp.last_scan_replayed = false;
     cp.last_scan_saved = 0;
     let result = cp.create_and_boot_report(name, image);
-    cp.fast_name_scan = false;
     let scan_replayed = cp.last_scan_replayed;
     if scan_replayed {
         REPLAYED.fetch_add(1, Ordering::Relaxed);

@@ -309,14 +309,10 @@ pub struct ControlPlane {
     /// (the integer sum is order-free, so it matches the old per-call
     /// fold exactly).
     booted_watches: u32,
-    /// Scratch for cloneboot's uncharged store-shape probe.
+    /// Scratch for the name check's uncharged store-shape probe: the
+    /// `/local/domain` children, and the guests' `(domid, name length)`.
     scan_scratch: Vec<u32>,
-    /// When true (set by `cloneboot` around replayed creates),
-    /// `xl_name_check` may replace its O(n) store scan with the
-    /// closed-form charge in [`Xenstored::replay_name_scan`] whenever the
-    /// store shape matches the VM table exactly; any mismatch falls back
-    /// to the real scan silently.
-    pub(crate) fast_name_scan: bool,
+    scan_guests: Vec<(u32, usize)>,
     /// Whether the last `xl_name_check` took the closed-form path.
     pub(crate) last_scan_replayed: bool,
     /// Store requests the last closed-form scan avoided (1 directory +
@@ -381,7 +377,7 @@ impl ControlPlane {
             dir_scratch: Vec::new(),
             booted_watches: 0,
             scan_scratch: Vec::new(),
-            fast_name_scan: false,
+            scan_guests: Vec::new(),
             last_scan_replayed: false,
             last_scan_saved: 0,
             phase_trace: None,
@@ -857,17 +853,35 @@ impl ControlPlane {
     }
 
     /// xl's unique-name check: list every domain and read its name.
-    fn xl_name_check(
+    ///
+    /// The simulated charge is the per-request scan's, always; the host
+    /// work is not. The guarded closed form ([`Self::xl_name_check_replay`])
+    /// runs first and charges the identical amount without entering the
+    /// store engine. Only when its guard fails — a foreign or missing
+    /// `/local/domain` entry, a Dom0 `name` node, or a name collision —
+    /// does the real scan below run, and it stays the reference the
+    /// closed form is tested against.
+    pub(crate) fn xl_name_check(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
         name: &str,
     ) -> Result<(), PlaneError> {
-        self.last_scan_replayed = false;
-        if self.fast_name_scan && self.xl_name_check_replay(cost, meter, name) {
-            self.last_scan_replayed = true;
+        self.last_scan_replayed = self.xl_name_check_replay(cost, meter, name);
+        if self.last_scan_replayed {
             return Ok(());
         }
+        self.xl_name_scan(cost, meter, name)
+    }
+
+    /// The real scan: one `directory` of `/local/domain`, then a `read`
+    /// of each numeric entry's `name` until a collision.
+    pub(crate) fn xl_name_scan(
+        &mut self,
+        cost: &CostModel,
+        meter: &mut Meter,
+        name: &str,
+    ) -> Result<(), PlaneError> {
         let dir = self.xs.local_domain_sym();
         let mut entries = std::mem::take(&mut self.dir_scratch);
         match self.xs.directory_syms(cost, meter, 0, dir, &mut entries) {
@@ -905,11 +919,14 @@ impl ControlPlane {
     /// precisely what the real scan would have and the store engine is
     /// never entered. Returns false on any mismatch — including a name
     /// collision, so the real scan reproduces `NameTaken` with its exact
-    /// early-exit charges.
+    /// early-exit charges. One pass over the children: O(n) uncharged
+    /// probes, against the real scan's O(n) charged requests and sort.
     fn xl_name_check_replay(&mut self, cost: &CostModel, meter: &mut Meter, name: &str) -> bool {
         let ld = self.xs.local_domain_sym();
         let mut children = std::mem::take(&mut self.scan_scratch);
-        let shape_ok = match self.xs.probe_children_u32(ld, &mut children) {
+        let mut guests = std::mem::take(&mut self.scan_guests);
+        guests.clear();
+        let mut replayable = match self.xs.probe_children_u32(ld, &mut children) {
             Ok(all_numeric) => all_numeric,
             // No `/local/domain` at all: the scan is one NotFound
             // directory request, which the empty closed form matches.
@@ -917,39 +934,35 @@ impl ControlPlane {
             Err(_) => false,
         };
         let mut dom0_entry = false;
-        let mut known = shape_ok;
-        if known {
-            for &c in &children {
-                if c == 0 {
-                    dom0_entry = true;
-                } else if !self.vms.contains_key(&DomId(c)) {
-                    known = false;
-                    break;
-                }
+        for &c in &children {
+            if !replayable {
+                break;
             }
-            // Children are unique, so membership + matching count means
-            // the sets are equal.
-            known &= children.len() == self.vms.len() + dom0_entry as usize;
+            if c == 0 {
+                dom0_entry = true;
+                continue;
+            }
+            match self.vms.get(&DomId(c)) {
+                Some(vm) if vm.name != name => guests.push((c, vm.name.len())),
+                // A foreign entry, or the collision the real scan reports.
+                _ => replayable = false,
+            }
         }
-        let replayable = known
+        // Children are unique, so membership + matching count means the
+        // sets are equal.
+        replayable = replayable
+            && guests.len() == self.vms.len()
             && (!dom0_entry || {
                 let name_sym = self.xs.child_sym(self.xs.domain_dir_sym(0), "name");
                 !self.xs.probe_exists(name_sym)
-            })
-            && !self.vms.values().any(|vm| vm.name == name);
-        let scanned = children.len() as u64;
-        self.scan_scratch = children;
-        if !replayable {
-            return false;
+            });
+        if replayable {
+            self.last_scan_saved = children.len() as u64 + 1;
+            self.xs.replay_name_scan(cost, meter, dom0_entry, guests.iter().copied());
         }
-        self.last_scan_saved = scanned + 1;
-        self.xs.replay_name_scan(
-            cost,
-            meter,
-            dom0_entry,
-            self.vms.iter().map(|(d, vm)| (d.0, vm.name.len())),
-        );
-        true
+        self.scan_scratch = children;
+        self.scan_guests = guests;
+        replayable
     }
 
     /// Appends a phase breakpoint to the active trace, if any.

@@ -3,7 +3,8 @@
 
 use guests::GuestImage;
 use lvnet::Link;
-use simcore::{Category, Machine, MachinePreset, SimTime};
+use simcore::{Category, Machine, MachinePreset, Meter, SimRng, SimTime};
+use xenstore::XsPath;
 
 use crate::plane::{ControlPlane, PlaneError, ToolstackMode};
 
@@ -100,6 +101,104 @@ fn xl_rejects_duplicate_names() {
     );
     // Another name is fine.
     cp.create_vm("dup2", &img).unwrap();
+}
+
+/// Store shapes for the name-check differential test.
+#[derive(Clone, Copy, Debug)]
+enum Shape {
+    /// `/local/domain` is exactly Dom0's directory plus the VM table.
+    Clean,
+    /// No `/local/domain` at all (a fresh host).
+    NoLocalDomain,
+    /// A numeric child with no VM behind it.
+    ForeignNumeric,
+    /// A non-numeric child, which the real scan skips.
+    NonNumeric,
+    /// Dom0's directory carries a `name` node.
+    Dom0Name,
+    /// A guest's directory vanished from under the VM table.
+    MissingGuest,
+    /// The checked name is already taken.
+    Collision,
+}
+
+/// The closed-form name check against the real scan on forks of one
+/// world: whether the closed form applies or its guard falls back, the
+/// outcome, the per-`Category` charges, the daemon's request stats and
+/// its log rotations agree exactly — including across log rotations,
+/// with guest creates in between.
+#[test]
+fn closed_form_name_check_matches_the_real_scan() {
+    let img = GuestImage::unikernel_daytime();
+    let mut base = plane(ToolstackMode::Xl);
+    for i in 0..40 {
+        base.create_and_boot(&format!("g-{i}"), &img).unwrap();
+    }
+    let mut rng = SimRng::new(0x5ca1);
+    let mut crossed_rotation = false;
+    for case in 0..28 {
+        let shape = [
+            Shape::Clean,
+            Shape::NoLocalDomain,
+            Shape::ForeignNumeric,
+            Shape::NonNumeric,
+            Shape::Dom0Name,
+            Shape::MissingGuest,
+            Shape::Collision,
+        ][case % 7];
+        let mut world = match shape {
+            Shape::NoLocalDomain => plane(ToolstackMode::Xl),
+            _ => base.fork(),
+        };
+        let mut poke = |path: &str| {
+            let p = XsPath::parse(path).unwrap();
+            world.xs.store_mut_for_tests().write(0, &p, b"x").unwrap();
+        };
+        match shape {
+            Shape::ForeignNumeric => poke(&format!("/local/domain/{}/data", 900 + rng.index(99))),
+            Shape::NonNumeric => poke("/local/domain/tools/x"),
+            Shape::Dom0Name => poke("/local/domain/0/name"),
+            Shape::MissingGuest => {
+                let p = XsPath::parse(&format!("/local/domain/{}", 1 + rng.index(40))).unwrap();
+                world.xs.store_mut_for_tests().rm(0, &p).unwrap();
+            }
+            _ => {}
+        }
+        let expect_closed_form = matches!(shape, Shape::Clean | Shape::NoLocalDomain);
+        let (mut fast, mut real) = (world.fork(), world.fork());
+        let cost = world.cost();
+        // The clean shape runs long enough to rotate the access log
+        // inside a compared check, creating guests on both forks on
+        // the way.
+        let rounds = if case == 0 { 400 } else { 4 };
+        for round in 0..rounds {
+            let name = match shape {
+                Shape::Collision => format!("g-{}", rng.index(40)),
+                _ => format!("new-{round}"),
+            };
+            let (mut m_fast, mut m_real) = (Meter::new(), Meter::new());
+            let rotations = real.xs.log_rotations();
+            let r_fast = fast.xl_name_check(&cost, &mut m_fast, &name);
+            let r_real = real.xl_name_scan(&cost, &mut m_real, &name);
+            crossed_rotation |= real.xs.log_rotations() > rotations;
+            assert_eq!(r_fast, r_real, "{shape:?}: outcome");
+            if matches!(shape, Shape::Collision) {
+                assert_eq!(r_real, Err(PlaneError::NameTaken(name.clone())));
+            }
+            assert_eq!(fast.last_scan_replayed, expect_closed_form, "{shape:?}");
+            for cat in Category::ALL {
+                assert_eq!(m_fast.of(cat), m_real.of(cat), "{shape:?}: {cat} charge");
+            }
+            assert_eq!(fast.xs.stats(), real.xs.stats(), "{shape:?}: daemon stats");
+            assert_eq!(fast.xs.log_rotations(), real.xs.log_rotations(), "{shape:?}");
+            if round % 40 == 39 {
+                fast.create_and_boot(&name, &img).unwrap();
+                real.create_and_boot(&name, &img).unwrap();
+            }
+        }
+        assert_eq!(fast.world_digest64(), real.world_digest64(), "{shape:?}: worlds");
+    }
+    assert!(crossed_rotation, "some compared check must rotate the log");
 }
 
 #[test]

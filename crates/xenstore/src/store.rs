@@ -121,16 +121,30 @@ struct Node {
     value: Arc<[u8]>,
     perms: Perms,
     generation: u64,
-    /// Head of this node's child list — an intrusive chain threaded
-    /// through the child slots via `next_sibling`, in insertion order.
-    /// Linking a child is an O(1) tail append that allocates nothing;
-    /// listings sort at read time (directories are read far less often
-    /// than children are created on the density hot path).
-    first_child: Option<XsSym>,
+    /// Head of this node's child list — an intrusive doubly linked
+    /// chain threaded through the child slots, in insertion order.
+    /// Linking a child is an O(1) tail append and unlinking one is O(1)
+    /// through its `prev_sibling`; neither allocates. Listings sort at
+    /// read time (directories are read far less often than children are
+    /// created on the density hot path). Links are bare symbols with
+    /// [`NIL`] for "none", so the four of them pack into 16 bytes.
+    first_child: XsSym,
     /// Tail of the child chain, for O(1) append.
-    last_child: Option<XsSym>,
+    last_child: XsSym,
     /// Next sibling in the parent's child chain.
-    next_sibling: Option<XsSym>,
+    next_sibling: XsSym,
+    /// Previous sibling in the parent's child chain.
+    prev_sibling: XsSym,
+}
+
+/// The "no link" sentinel in [`Node`]'s chain fields. The root is never
+/// anyone's child or sibling, so its symbol is free to mean "none".
+const NIL: XsSym = XsSym::ROOT;
+
+/// A chain link as an `Option` (`NIL` → `None`).
+#[inline]
+fn link(s: XsSym) -> Option<XsSym> {
+    (s != NIL).then_some(s)
 }
 
 impl Node {
@@ -139,10 +153,21 @@ impl Node {
             value: empty.clone(),
             perms,
             generation,
-            first_child: None,
-            last_child: None,
-            next_sibling: None,
+            first_child: NIL,
+            last_child: NIL,
+            next_sibling: NIL,
+            prev_sibling: NIL,
         }
+    }
+
+    #[inline]
+    fn first_child(&self) -> Option<XsSym> {
+        link(self.first_child)
+    }
+
+    #[inline]
+    fn next_sibling(&self) -> Option<XsSym> {
+        link(self.next_sibling)
     }
 }
 
@@ -589,44 +614,35 @@ impl Store {
     fn link_child(&mut self, parent: XsSym, child: XsSym) {
         let tail = {
             let p = self.node_mut(parent).expect("parent exists");
-            let tail = p.last_child.replace(child);
-            if tail.is_none() {
-                p.first_child = Some(child);
+            let tail = std::mem::replace(&mut p.last_child, child);
+            if tail == NIL {
+                p.first_child = child;
             }
             tail
         };
-        if let Some(t) = tail {
-            self.node_mut(t).expect("tail sibling exists").next_sibling = Some(child);
+        if tail != NIL {
+            self.node_mut(tail).expect("tail sibling exists").next_sibling = child;
+            self.node_mut(child).expect("child exists").prev_sibling = tail;
         }
     }
 
-    /// Removes `child` from `parent`'s child chain, if linked. The child
-    /// slot must still be live (its `next_sibling` is read). O(siblings)
-    /// symbol hops, no string work.
+    /// Removes `child` from `parent`'s child chain. O(1): the child's
+    /// own links name both neighbours, so a directory with a thousand
+    /// entries unlinks any of them without walking the chain. The child
+    /// slot must still be live, and — as for every live non-root node —
+    /// linked under `parent`.
     fn unlink_child(&mut self, parent: XsSym, child: XsSym) {
-        let next = self.node(child).and_then(|n| n.next_sibling);
-        let mut prev: Option<XsSym> = None;
-        let mut cur = self
-            .node(parent)
-            .expect("parent of a live node exists")
-            .first_child;
-        while let Some(c) = cur {
-            if c == child {
-                break;
-            }
-            prev = Some(c);
-            cur = self.node(c).expect("sibling exists").next_sibling;
-        }
-        if cur != Some(child) {
-            return; // not linked
-        }
-        match prev {
+        let (prev, next) = {
+            let c = self.node(child).expect("unlinked child is live");
+            (c.prev_sibling, c.next_sibling)
+        };
+        match link(prev) {
             None => self.node_mut(parent).expect("parent exists").first_child = next,
             Some(p) => self.node_mut(p).expect("sibling exists").next_sibling = next,
         }
-        let p = self.node_mut(parent).expect("parent exists");
-        if p.last_child == Some(child) {
-            p.last_child = prev;
+        match link(next) {
+            None => self.node_mut(parent).expect("parent exists").last_child = prev,
+            Some(n) => self.node_mut(n).expect("sibling exists").prev_sibling = prev,
         }
     }
 
@@ -911,10 +927,10 @@ impl Store {
         while let Some(s) = stack.pop() {
             let node = self.node(s).expect("subtree nodes exist");
             *credits.entry(node.perms.owner).or_insert(0) += 1;
-            let mut cur = node.first_child;
+            let mut cur = node.first_child();
             while let Some(c) = cur {
                 stack.push(c);
-                cur = self.node(c).expect("linked child exists").next_sibling;
+                cur = self.node(c).expect("linked child exists").next_sibling();
             }
             doomed.push(s);
         }
@@ -962,10 +978,10 @@ impl Store {
         // The child chain is in insertion order; sort the listing.
         let interner = self.interner.borrow();
         let mut out = Vec::new();
-        let mut cur = node.first_child;
+        let mut cur = node.first_child();
         while let Some(c) = cur {
             out.push(interner.name(c).to_string());
-            cur = self.node(c).expect("linked child exists").next_sibling;
+            cur = self.node(c).expect("linked child exists").next_sibling();
         }
         out.sort_unstable();
         Ok(out)
@@ -986,11 +1002,11 @@ impl Store {
             return Err(XsError::PermissionDenied);
         }
         let mut count = 0;
-        let mut cur = node.first_child;
+        let mut cur = node.first_child();
         while let Some(c) = cur {
             f(c);
             count += 1;
-            cur = self.node(c).expect("linked child exists").next_sibling;
+            cur = self.node(c).expect("linked child exists").next_sibling();
         }
         Ok(count)
     }
@@ -1115,11 +1131,11 @@ impl Store {
         mix.write_field(&node.value);
         let mut child_sum: u128 = 0;
         let mut children: u64 = 0;
-        let mut cur = node.first_child;
+        let mut cur = node.first_child();
         while let Some(c) = cur {
             child_sum = child_sum.wrapping_add(self.node_hash(c, use_cache));
             children += 1;
-            cur = self.node(c).expect("linked child exists").next_sibling;
+            cur = self.node(c).expect("linked child exists").next_sibling();
         }
         mix.write_u64(children);
         mix.write_u128(child_sum);
@@ -1154,7 +1170,7 @@ impl Store {
             (ph >> 64) as u64 ^ ph as u64,
             crate::hash::hash_bytes(&node.value),
         ));
-        let mut cur = node.first_child;
+        let mut cur = node.first_child();
         while let Some(c) = cur {
             let mut child_path = path;
             {
@@ -1162,7 +1178,7 @@ impl Store {
                 child_path.write_field(interner.name(c).as_bytes());
             }
             self.leaves_rec(c, child_path, out);
-            cur = self.node(c).expect("linked child exists").next_sibling;
+            cur = self.node(c).expect("linked child exists").next_sibling();
         }
     }
 }
@@ -1173,6 +1189,39 @@ mod tests {
 
     fn p(s: &str) -> XsPath {
         XsPath::parse(s).unwrap()
+    }
+
+    /// The four chain links pack into 16 bytes; a node is one fat
+    /// pointer, perms, a generation and those links. Arena memory
+    /// scales with this under churn and across forks.
+    #[cfg(target_pointer_width = "64")]
+    #[test]
+    fn node_stays_48_bytes() {
+        assert_eq!(std::mem::size_of::<Node>(), 48);
+        assert_eq!(std::mem::size_of::<Option<Node>>(), 48);
+    }
+
+    #[test]
+    fn unlink_keeps_chain_order_at_head_middle_and_tail() {
+        let mut s = Store::new();
+        for name in ["a", "b", "c", "d", "e"] {
+            s.write(0, &p(&format!("/dir/{name}")), b"").unwrap();
+        }
+        for gone in ["a", "c", "e"] {
+            s.rm(0, &p(&format!("/dir/{gone}"))).unwrap();
+        }
+        s.write(0, &p("/dir/f"), b"").unwrap();
+        let dir = s.resolve("/dir").unwrap();
+        let mut chain = Vec::new();
+        s.for_each_child_sym(0, dir, |c| chain.push(s.path_of(c).as_str().to_string()))
+            .unwrap();
+        assert_eq!(chain, ["/dir/b", "/dir/d", "/dir/f"]);
+        s.rm(0, &p("/dir/b")).unwrap();
+        s.rm(0, &p("/dir/f")).unwrap();
+        s.rm(0, &p("/dir/d")).unwrap();
+        assert_eq!(s.directory(0, &p("/dir")).unwrap(), Vec::<String>::new());
+        s.write(0, &p("/dir/g"), b"").unwrap();
+        assert_eq!(s.directory(0, &p("/dir")).unwrap(), ["g"]);
     }
 
     #[test]

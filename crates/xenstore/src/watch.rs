@@ -6,7 +6,7 @@
 //! watch against every write — a per-write cost that grows with the
 //! number of devices and guests in the system.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use crate::path::XsPath;
@@ -61,21 +61,13 @@ impl SymWatches {
         &mut Arc::make_mut(&mut self.chunks[idx >> CHUNK_BITS])[idx & (CHUNK - 1)]
     }
 
-    /// Removes every entry of `conn`, returning how many were dropped.
-    /// Chunks without a matching entry are only read, never copied.
-    fn retain_without_conn(&mut self, conn: u32) -> usize {
-        let mut removed = 0;
-        for chunk in &mut self.chunks {
-            if !chunk.iter().any(|l| l.iter().any(|(c, _)| *c == conn)) {
-                continue;
-            }
-            for list in Arc::make_mut(chunk).iter_mut() {
-                let before = list.len();
-                list.retain(|(c, _)| *c != conn);
-                removed += before - list.len();
-            }
-        }
-        removed
+    /// Removes every entry of `conn` from the list at `idx`, returning
+    /// how many were dropped.
+    fn remove_conn_at(&mut self, idx: usize, conn: u32) -> usize {
+        let list = self.ensure_mut(idx);
+        let before = list.len();
+        list.retain(|(c, _)| *c != conn);
+        before - list.len()
     }
 }
 
@@ -93,6 +85,11 @@ pub struct WatchTable {
     /// are empty ancestor entries).
     by_sym: SymWatches,
     count: usize,
+    /// `(conn, sym)` for every symbol whose list holds an entry of
+    /// `conn`: dropping a connection visits only its own lists instead
+    /// of every interned symbol. Pruned on unregister, so it is bounded
+    /// by the live watches (a booted guest holds one pair).
+    watched: BTreeSet<(u32, XsSym)>,
     pending: BTreeMap<u32, VecDeque<WatchEvent>>,
 }
 
@@ -126,6 +123,7 @@ impl WatchTable {
             token: token.clone(),
         });
         self.by_sym.ensure_mut(sym.index()).push((conn, token));
+        self.watched.insert((conn, sym));
         self.count += 1;
     }
 
@@ -153,8 +151,19 @@ impl WatchTable {
         let before = list.len();
         list.retain(|(c, t)| !(*c == conn && &**t == token));
         let removed = before - list.len();
+        if !list.iter().any(|(c, _)| *c == conn) {
+            self.watched.remove(&(conn, sym));
+        }
         self.count -= removed;
         removed > 0
+    }
+
+    /// The symbols `conn` holds at least one watch on, ascending.
+    pub fn watched_by(&self, conn: u32) -> impl Iterator<Item = XsSym> + '_ {
+        self.watched
+            .range((conn, XsSym::ROOT)..)
+            .take_while(move |&&(c, _)| c == conn)
+            .map(|&(_, sym)| sym)
     }
 
     /// Iterates `(conn, queued events)` over every connection with a
@@ -168,9 +177,18 @@ impl WatchTable {
     }
 
     /// Drops all watches and pending events of a connection (domain
-    /// death).
+    /// death). O(the connection's own watches), through the
+    /// per-connection index.
     pub fn drop_conn(&mut self, conn: u32) {
-        self.count -= self.by_sym.retain_without_conn(conn);
+        while let Some(&(_, sym)) = self
+            .watched
+            .range((conn, XsSym::ROOT)..)
+            .next()
+            .filter(|(c, _)| *c == conn)
+        {
+            self.watched.remove(&(conn, sym));
+            self.count -= self.by_sym.remove_conn_at(sym.index(), conn);
+        }
         self.pending.remove(&conn);
     }
 

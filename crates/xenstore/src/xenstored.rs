@@ -574,10 +574,10 @@ impl Xenstored {
         Ok(())
     }
 
-    // --- cloneboot replay support ----------------------------------------
+    // --- closed-form name scan support -----------------------------------
     //
-    // `toolstack::cloneboot` replays xl's O(n) unique-name scan as closed-
-    // form arithmetic once a template boot has validated the store shape.
+    // The control plane charges xl's O(n) unique-name scan as closed-form
+    // arithmetic once its guard has validated the store shape.
     // Everything here is either an uncharged read-only probe (validity
     // checks) or a batched charge that is integer-exactly what the real
     // per-request scan would have charged — protocol costs are u64
@@ -587,7 +587,7 @@ impl Xenstored {
     /// Uncharged walk of a node's children: clears `out` and pushes each
     /// child's numeric name, returning `false` if any child's name is
     /// non-numeric (an entry xl's scan would skip, which the closed form
-    /// cannot express). Ignores read permissions — a template-validity
+    /// cannot express). Ignores read permissions — a name-check guard
     /// probe, not a client operation.
     pub fn probe_children_u32(&self, sym: XsSym, out: &mut Vec<u32>) -> Result<bool, XsError> {
         out.clear();
@@ -601,7 +601,7 @@ impl Xenstored {
         Ok(all)
     }
 
-    /// Uncharged existence probe (template validity only).
+    /// Uncharged existence probe (name-check guard only).
     pub fn probe_exists(&self, sym: XsSym) -> bool {
         self.store.exists_sym(sym)
     }
@@ -618,8 +618,8 @@ impl Xenstored {
 
     /// Charges exactly what xl's unique-name scan — one `directory` of
     /// `/local/domain` plus one `read` per numeric entry — would charge,
-    /// without executing the store operations. The caller (the cloneboot
-    /// template fast path) has already validated the preconditions this
+    /// without executing the store operations. The caller (the control
+    /// plane's xl name check) has already validated the preconditions this
     /// arithmetic encodes: the directory's children are precisely the
     /// `guests` entries plus, when `dom0_entry`, Dom0's own directory
     /// (whose `name` node does not exist, so its read pays no value

@@ -6,12 +6,13 @@
 //! environment is offline, so no proptest), with a fixed seed per test:
 //! failures reproduce exactly.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::sync::Arc;
 
 use simcore::SimRng;
 use xenstore::txn::{Txn, TxnId};
 use xenstore::watch::WatchTable;
-use xenstore::{Store, XsError, XsPath};
+use xenstore::{Store, XsError, XsPath, XsSym};
 
 /// A small path universe so operations collide often.
 fn random_path(rng: &mut SimRng) -> XsPath {
@@ -310,5 +311,243 @@ fn watch_scratch_reuse_loses_and_duplicates_nothing() {
         }
         assert_eq!(delivered_a, fired, "every fired event delivered exactly once");
         assert_eq!(delivered_b, fired);
+    }
+}
+
+/// Naive reference for the wide-directory test: every node but the root
+/// as `path -> value`, plus every path ever created (for the interner
+/// census) and the peak live population (for the arena census).
+#[derive(Default)]
+struct NaiveStore {
+    nodes: BTreeMap<String, Vec<u8>>,
+    ever: BTreeSet<String>,
+    peak: usize,
+}
+
+impl NaiveStore {
+    /// xenstored write semantics: missing parents appear empty.
+    fn write(&mut self, path: &str, value: &[u8]) {
+        let mut end = 0;
+        while let Some(i) = path[end + 1..].find('/') {
+            end += 1 + i;
+            self.nodes.entry(path[..end].to_string()).or_default();
+            self.ever.insert(path[..end].to_string());
+        }
+        self.nodes.insert(path.to_string(), value.to_vec());
+        self.ever.insert(path.to_string());
+        self.peak = self.peak.max(self.nodes.len());
+    }
+
+    fn rm(&mut self, path: &str) {
+        let below = format!("{path}/");
+        self.nodes
+            .retain(|p, _| p != path && !p.starts_with(&below));
+    }
+
+    fn children(&self, dir: &str) -> Vec<String> {
+        let prefix = format!("{dir}/");
+        self.nodes
+            .keys()
+            .filter_map(|p| p.strip_prefix(&prefix))
+            .filter(|rest| !rest.contains('/'))
+            .map(str::to_string)
+            .collect()
+    }
+}
+
+/// Writes `path` to the store and the model alike.
+fn write(store: &mut Store, model: &mut NaiveStore, path: &str, value: &[u8]) {
+    store
+        .write(0, &XsPath::parse(path).unwrap(), value)
+        .unwrap();
+    model.write(path, value);
+}
+
+/// Wide directories: random writes and removals on directories of
+/// 1000+ children — unlinking at the head, the middle and the tail of
+/// the child chain, and recreating removed names so recycled slots and
+/// old symbols are reused — agree with a naive map: sorted listings,
+/// node count, store census, and subtree digests against a store
+/// rebuilt from scratch.
+#[test]
+fn wide_directories_match_a_naive_model() {
+    let mut rng = SimRng::new(0x5707);
+    for _case in 0..3 {
+        let mut store = Store::new();
+        let mut model = NaiveStore::default();
+        let dirs = ["/local/domain", "/vm"];
+        // Live children of each directory in insertion (chain) order.
+        let mut order: [Vec<String>; 2] = [Vec::new(), Vec::new()];
+        let mut next_name = 0usize;
+        for (d, dir) in dirs.iter().enumerate() {
+            for _ in 0..1000 + rng.index(100) {
+                let name = next_name.to_string();
+                next_name += 1;
+                let value = vec![rng.index(256) as u8; rng.index(4)];
+                write(&mut store, &mut model, &format!("{dir}/{name}"), &value);
+                if rng.chance(0.3) {
+                    write(
+                        &mut store,
+                        &mut model,
+                        &format!("{dir}/{name}/name"),
+                        b"guest",
+                    );
+                }
+                order[d].push(name);
+            }
+        }
+        for step in 0..600 {
+            let d = rng.index(2);
+            let dir = dirs[d];
+            match rng.index(6) {
+                // Remove at the head, the middle or the tail of the chain.
+                k @ 0..=2 if !order[d].is_empty() => {
+                    let i = match k {
+                        0 => 0,
+                        1 => rng.index(order[d].len()),
+                        _ => order[d].len() - 1,
+                    };
+                    let name = order[d].remove(i);
+                    let path = format!("{dir}/{name}");
+                    store.rm(0, &XsPath::parse(&path).unwrap()).unwrap();
+                    model.rm(&path);
+                }
+                // Recreate a previously used name, or create a fresh one.
+                3 => {
+                    let name = if rng.chance(0.5) && next_name > 0 {
+                        rng.index(next_name).to_string()
+                    } else {
+                        next_name += 1;
+                        (next_name - 1).to_string()
+                    };
+                    if !order[d].contains(&name) {
+                        order[d].push(name.clone());
+                    }
+                    write(&mut store, &mut model, &format!("{dir}/{name}"), b"x");
+                }
+                // Overwrite a value, or add/remove a grandchild.
+                4 if !order[d].is_empty() => {
+                    let name = &order[d][rng.index(order[d].len())];
+                    write(
+                        &mut store,
+                        &mut model,
+                        &format!("{dir}/{name}/name"),
+                        b"renamed",
+                    );
+                }
+                _ if !order[d].is_empty() => {
+                    let name = &order[d][rng.index(order[d].len())];
+                    let path = format!("{dir}/{name}/name");
+                    assert_eq!(
+                        store.rm(0, &XsPath::parse(&path).unwrap()).is_ok(),
+                        model.nodes.contains_key(&path)
+                    );
+                    model.rm(&path);
+                }
+                _ => {}
+            }
+            if step % 50 == 49 || step == 599 {
+                for dir in dirs {
+                    let mut listed = store.directory(0, &XsPath::parse(dir).unwrap()).unwrap();
+                    let mut expect = model.children(dir);
+                    expect.sort();
+                    assert_eq!(listed, expect, "{dir} listing");
+                    listed.dedup();
+                    assert_eq!(listed.len(), expect.len(), "{dir} lists a child twice");
+                }
+                assert_eq!(store.node_count(), model.nodes.len() + 1);
+                let census = store.census();
+                assert_eq!(census.live, model.nodes.len() + 1);
+                assert_eq!(census.capacity, model.peak + 1, "slots are recycled");
+                assert_eq!(census.free, census.capacity - census.live);
+                assert_eq!(census.interned_syms, model.ever.len() + 1);
+            }
+            if step % 200 == 199 {
+                let mut rebuilt = Store::new();
+                for (path, value) in &model.nodes {
+                    rebuilt
+                        .write(0, &XsPath::parse(path).unwrap(), value)
+                        .unwrap();
+                }
+                assert_eq!(store.subtree_digest(), rebuilt.subtree_digest());
+                assert_eq!(store.subtree_digest_uncached(), rebuilt.subtree_digest());
+            }
+        }
+    }
+}
+
+/// The watch table against a naive `(conn, path, token)` list: random
+/// registrations, unregistrations and connection drops keep `count()`
+/// equal, every mutation fires exactly the model's events in the
+/// model's order, and the per-connection index names exactly the
+/// symbols each connection still watches — no stale entries.
+#[test]
+fn watch_table_matches_a_naive_model() {
+    let paths = ["/a", "/a/b", "/a/b/c", "/d", "/d/e", "/f"];
+    let mut rng = SimRng::new(0x5708);
+    for _case in 0..64 {
+        let store = Store::new();
+        let sym = |p: &str| store.sym(&XsPath::parse(p).unwrap());
+        let mut table = WatchTable::new();
+        let mut model: Vec<(u32, &str, String)> = Vec::new();
+        for _ in 0..rng.index(120) {
+            let conn = rng.index(5) as u32;
+            let path = paths[rng.index(paths.len())];
+            let token = format!("t{}", rng.index(3));
+            match rng.index(5) {
+                0 | 1 => {
+                    table.register(&store, conn, sym(path), token.clone());
+                    model.push((conn, path, token));
+                }
+                2 => {
+                    let removed = table.unregister_sym(conn, sym(path), &token);
+                    let before = model.len();
+                    model.retain(|(c, p, t)| !(*c == conn && *p == path && *t == token));
+                    assert_eq!(removed, model.len() < before);
+                }
+                3 => {
+                    table.drop_conn(conn);
+                    model.retain(|(c, _, _)| *c != conn);
+                }
+                _ => {
+                    for c in 0..5 {
+                        table.take_events(c);
+                    }
+                    let stats = table.note_mutation_sym(&store, sym(path));
+                    // Deepest watched ancestor first, registration order
+                    // within one path.
+                    let mut expect: BTreeMap<u32, Vec<String>> = BTreeMap::new();
+                    let mut at = Some(path);
+                    while let Some(p) = at {
+                        for (c, _, t) in model.iter().filter(|(_, wp, _)| *wp == p) {
+                            expect.entry(*c).or_default().push(t.clone());
+                        }
+                        at = p.rfind('/').filter(|&i| i > 0).map(|i| &p[..i]);
+                    }
+                    assert_eq!(stats.checked, model.len());
+                    assert_eq!(stats.fired, expect.values().map(Vec::len).sum::<usize>());
+                    for c in 0..5 {
+                        let got: Vec<String> = table
+                            .take_events(c)
+                            .iter()
+                            .map(|e| e.token.to_string())
+                            .collect();
+                        assert_eq!(got, expect.remove(&c).unwrap_or_default(), "conn {c}");
+                    }
+                }
+            }
+            assert_eq!(table.count(), model.len());
+            for c in 0..5 {
+                let indexed: Vec<XsSym> = table.watched_by(c).collect();
+                let mut expect: Vec<XsSym> = model
+                    .iter()
+                    .filter(|(mc, _, _)| *mc == c)
+                    .map(|(_, p, _)| sym(p))
+                    .collect();
+                expect.sort();
+                expect.dedup();
+                assert_eq!(indexed, expect, "conn {c}'s watch index");
+            }
+        }
     }
 }
