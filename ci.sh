@@ -1,6 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: build everything, run the whole test suite (with a
-# suite-count guard so lost --workspace coverage fails loudly),
+# CI gate: build everything, lint the store, toolstack and simulation
+# core crates with clippy (warnings are errors), run the whole test
+# suite (with a suite-count guard so lost --workspace coverage fails
+# loudly),
 # smoke-run the hot-path microbenches, then regenerate all figures at
 # quick scale through the DAG runner. Fails if any expected artefact is
 # missing, if disabling the world-snapshot cache changes any artefact
@@ -20,6 +22,9 @@ cd "$(dirname "$0")"
 
 echo "== build (release, workspace) =="
 cargo build --release --workspace
+
+echo "== clippy (xenstore, toolstack, simcore; warnings are errors) =="
+cargo clippy --release --offline -p xenstore -p toolstack -p simcore -- -D warnings
 
 echo "== tests (workspace) =="
 test_log="$(mktemp)"

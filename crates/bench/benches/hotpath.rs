@@ -1,10 +1,15 @@
-//! Criterion benches of the two data-structure hot paths behind the
-//! figure runner: the watch-table ancestor walk with 1,000 registered
-//! watches, and raw path lookup on a ~30,000-node store. Both paths are
-//! allocation-free in steady state after the symbol-native rewrite; these benches
-//! are the regression guard.
+//! Criterion benches of the data-structure hot paths behind the figure
+//! runner: the watch-table ancestor walk with 1,000 registered watches,
+//! raw path lookup on a ~30,000-node store, and xl's unique-name check
+//! at 10 and 1,000 resident guests. The first two are allocation-free
+//! in steady state after the symbol-native rewrite; the name check's
+//! host time must not grow with the guest count (its simulated charge
+//! does). These benches are the regression guard.
 
-use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use criterion::{black_box, criterion_group, criterion_main, BenchmarkId, Criterion};
+use guests::GuestImage;
+use simcore::{Machine, MachinePreset, Meter};
+use toolstack::{ControlPlane, ToolstackMode};
 use xenstore::{Store, WatchTable, XsPath};
 
 fn bench_watch_fire(c: &mut Criterion) {
@@ -59,5 +64,23 @@ fn bench_path_lookup(c: &mut Criterion) {
     group.finish();
 }
 
-criterion_group!(benches, bench_watch_fire, bench_path_lookup);
+fn bench_xl_name_check(c: &mut Criterion) {
+    let image = GuestImage::unikernel_daytime();
+    let mut group = c.benchmark_group("xl_name_check");
+    for resident in [10, 1000] {
+        let machine = Machine::preset(MachinePreset::XeonE5_1630V3);
+        let mut cp = ControlPlane::new(machine, 1, ToolstackMode::Xl, 42);
+        for i in 0..resident {
+            cp.create_and_boot(&format!("resident-{i}"), &image).unwrap();
+        }
+        let cost = cp.cost();
+        let mut meter = Meter::new();
+        group.bench_with_input(BenchmarkId::new("free_name", resident), &(), |b, _| {
+            b.iter(|| cp.xl_name_check(&cost, &mut meter, black_box("fresh")).unwrap())
+        });
+    }
+    group.finish();
+}
+
+criterion_group!(benches, bench_watch_fire, bench_path_lookup, bench_xl_name_check);
 criterion_main!(benches);

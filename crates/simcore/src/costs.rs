@@ -7,7 +7,6 @@
 //! The [`Meter`] reproduces the creation-overhead categorisation of
 //! Figure 5.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::time::SimTime;
@@ -43,6 +42,19 @@ impl Category {
         Category::Other,
     ];
 
+    /// Position in [`Category::ALL`] — the [`Meter`]'s array slot.
+    pub const fn index(self) -> usize {
+        match self {
+            Category::Toolstack => 0,
+            Category::Load => 1,
+            Category::Devices => 2,
+            Category::Xenstore => 3,
+            Category::Hypervisor => 4,
+            Category::Config => 5,
+            Category::Other => 6,
+        }
+    }
+
     /// Short label used by figure harnesses.
     pub fn label(self) -> &'static str {
         match self {
@@ -70,7 +82,8 @@ impl fmt::Display for Category {
 #[derive(Clone, Debug, Default)]
 pub struct Meter {
     total: SimTime,
-    by_cat: BTreeMap<Category, SimTime>,
+    /// Per-category totals, indexed by [`Category::index`].
+    by_cat: [SimTime; Category::ALL.len()],
 }
 
 impl Meter {
@@ -82,7 +95,7 @@ impl Meter {
     /// Charges `dt` to `cat`, returning `dt` for chaining.
     pub fn charge(&mut self, cat: Category, dt: SimTime) -> SimTime {
         self.total += dt;
-        *self.by_cat.entry(cat).or_insert(SimTime::ZERO) += dt;
+        self.by_cat[cat.index()] += dt;
         dt
     }
 
@@ -93,7 +106,7 @@ impl Meter {
 
     /// Amount charged to one category.
     pub fn of(&self, cat: Category) -> SimTime {
-        self.by_cat.get(&cat).copied().unwrap_or(SimTime::ZERO)
+        self.by_cat[cat.index()]
     }
 
     /// Difference against an earlier snapshot of the same meter.
@@ -118,7 +131,8 @@ impl Meter {
     pub fn iter(&self) -> impl Iterator<Item = (Category, SimTime)> + '_ {
         Category::ALL
             .into_iter()
-            .filter_map(|c| self.by_cat.get(&c).map(|&t| (c, t)))
+            .map(|c| (c, self.by_cat[c.index()]))
+            .filter(|(_, t)| !t.is_zero())
     }
 }
 
@@ -318,6 +332,33 @@ mod tests {
         assert_eq!(m.of(Category::Xenstore), SimTime::from_millis(5));
         assert_eq!(m.of(Category::Devices), SimTime::from_millis(1));
         assert_eq!(m.of(Category::Config), SimTime::ZERO);
+    }
+
+    #[test]
+    fn meter_slots_follow_stacking_order() {
+        for (i, cat) in Category::ALL.into_iter().enumerate() {
+            assert_eq!(cat.index(), i, "{cat}");
+        }
+        // Charge in reverse stacking order; iteration still follows
+        // `Category::ALL`.
+        let mut m = Meter::new();
+        for (i, &cat) in Category::ALL.iter().enumerate().rev() {
+            m.charge(cat, SimTime::from_millis(i as u64 + 1));
+        }
+        let listed: Vec<_> = m.iter().collect();
+        let expect: Vec<_> = Category::ALL
+            .into_iter()
+            .enumerate()
+            .map(|(i, c)| (c, SimTime::from_millis(i as u64 + 1)))
+            .collect();
+        assert_eq!(listed, expect);
+        // Categories with nothing charged are skipped.
+        let mut m = Meter::new();
+        m.charge(Category::Other, SimTime::from_millis(1));
+        m.charge(Category::Load, SimTime::ZERO);
+        m.charge(Category::Toolstack, SimTime::from_millis(2));
+        let listed: Vec<_> = m.iter().map(|(c, _)| c).collect();
+        assert_eq!(listed, [Category::Toolstack, Category::Other]);
     }
 
     #[test]

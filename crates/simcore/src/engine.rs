@@ -92,9 +92,9 @@ const INITIAL_QUEUE_CAPACITY: usize = 256;
 /// ```
 pub struct Engine {
     now: SimTime,
-    /// Wheel cursor in nanoseconds: every live event's deadline is
-    /// >= `cur`. Advances only when an event fires (to its deadline), so
-    /// it never outruns `now`.
+    /// Wheel cursor in nanoseconds: every live event's deadline is at
+    /// least `cur`. Advances only when an event fires (to its deadline),
+    /// so it never outruns `now`.
     cur: u64,
     /// `LEVELS * SLOTS` buckets of slab indices, flattened level-major.
     slots: Vec<Vec<u32>>,
@@ -403,7 +403,7 @@ impl Engine {
                     }
                 }
                 let key = (self.slot_min[i].0, self.slot_min[i].1);
-                if best.map_or(true, |(b, _)| key < b) {
+                if best.is_none_or(|(b, _)| key < b) {
                     best = Some((key, i as u32));
                 }
                 break;
@@ -415,7 +415,7 @@ impl Engine {
             }
             if !self.overflow.is_empty() {
                 let okey = (self.overflow_min.0, self.overflow_min.1);
-                if best.map_or(true, |(b, _)| okey < b) {
+                if best.is_none_or(|(b, _)| okey < b) {
                     best = Some((okey, OVERFLOW_SRC));
                 }
             }

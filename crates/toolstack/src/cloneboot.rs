@@ -15,12 +15,13 @@
 //! per-request scan charges, because every protocol cost is `u64`
 //! nanosecond arithmetic and `n * per_request == Σ requests` holds
 //! bit-for-bit) is the control plane's default for *every* xl create,
-//! behind its own uncharged guard (`ControlPlane::xl_name_check`).
-//! What this module adds on top is template bookkeeping only: the
-//! per-replay drift and content checks, first-replay dual execution,
-//! and the counters ([`totals`], [`fallback_total`]), which still count
-//! the replays whose name check took the closed form and those whose
-//! guard fell back to the real scan.
+//! behind one hash probe of the store's `/local/domain` summary
+//! ([`ControlPlane::xl_name_check`]). What this module adds on top is
+//! template bookkeeping only: the per-replay drift and content checks,
+//! first-replay dual execution, and the counters ([`totals`],
+//! [`fallback_total`]), which still count the replays whose name check
+//! took the closed form and those whose probe hit and ran the real
+//! scan.
 //!
 //! Identity remapping comes for free from re-executing real code: the
 //! new guest draws its own [`hypervisor::DomId`], interns its own
@@ -36,11 +37,11 @@
 //! Merkle digests (DESIGN.md §6h) retired the sampling — **every
 //! replay is now verified**, and there is no interval constant left:
 //!
-//! 1. **Per-create shape check** (uncharged, in the plane itself): the
-//!    closed-form name check applies only when `/local/domain`'s
-//!    children are exactly the plane's VM table (see
-//!    `ControlPlane::xl_name_check_replay`); any foreign node, missing
-//!    entry or name collision falls back to the real scan silently.
+//! 1. **Per-create name probe** (uncharged, in the plane itself): the
+//!    closed-form name check charges from the store's `/local/domain`
+//!    summary whatever that directory holds, and only a hash hit on
+//!    the requested name (a collision, or a false positive) runs the
+//!    real scan, silently (see [`ControlPlane::xl_name_check`]).
 //! 2. **Per-replay drift + content check**: the store-node delta left
 //!    by a replayed create must equal the template's recorded delta,
 //!    *and* the guest's store subtrees (frontend/domain dir, `/vm`
@@ -201,7 +202,7 @@ static HITS: AtomicU64 = AtomicU64::new(0);
 static REPLAYED: AtomicU64 = AtomicU64::new(0);
 /// Store-engine requests the closed form avoided.
 static EVENTS_SAVED: AtomicU64 = AtomicU64::new(0);
-/// Replays where the shape check bailed to the real scan.
+/// Replays whose name probe hit and ran the real scan.
 static FALLBACKS: AtomicU64 = AtomicU64::new(0);
 /// Dual-execution (fork + full path) verifications performed — one per
 /// template, at its first replay. Every replay additionally runs the
@@ -230,7 +231,7 @@ pub fn totals() -> (u64, u64, u64) {
     )
 }
 
-/// Replays where the xl shape check bailed to the real scan (tests:
+/// Replays whose xl name probe hit and ran the real scan (tests:
 /// the counter is process-global, so assert on before/after deltas).
 pub fn fallback_total() -> u64 {
     FALLBACKS.load(Ordering::Relaxed)
@@ -421,7 +422,7 @@ fn content_matches(mask: &ContentMask, content: &ContentList) -> bool {
         && mask
             .iter()
             .zip(content)
-            .all(|(&(mp, mv), &(cp, cv))| mp == cp && mv.map_or(true, |v| v == cv))
+            .all(|(&(mp, mv), &(cp, cv))| mp == cp && mv.is_none_or(|v| v == cv))
 }
 
 /// Full create+boot with phase tracing on; on success the delta it
@@ -455,7 +456,7 @@ fn record_exemplar(
 }
 
 /// A replayed create: real code everywhere (the plane's name check
-/// takes its closed form when its guard admits it); afterwards, the
+/// takes its closed form unless the name may be taken); afterwards, the
 /// node-delta drift check and the learned-mask content check — both
 /// on *every* replay.
 fn replay(

@@ -309,14 +309,10 @@ pub struct ControlPlane {
     /// (the integer sum is order-free, so it matches the old per-call
     /// fold exactly).
     booted_watches: u32,
-    /// Scratch for the name check's uncharged store-shape probe: the
-    /// `/local/domain` children, and the guests' `(domid, name length)`.
-    scan_scratch: Vec<u32>,
-    scan_guests: Vec<(u32, usize)>,
     /// Whether the last `xl_name_check` took the closed-form path.
     pub(crate) last_scan_replayed: bool,
-    /// Store requests the last closed-form scan avoided (1 directory +
-    /// one read per entry).
+    /// Store requests the last closed-form scan replayed (1 directory +
+    /// one read per numeric entry).
     pub(crate) last_scan_saved: u64,
     /// When present, create phases append `(tag, running meter total)`
     /// breakpoints here (cloneboot exemplar recording).
@@ -376,8 +372,6 @@ impl ControlPlane {
             fe_tokens: Vec::new(),
             dir_scratch: Vec::new(),
             booted_watches: 0,
-            scan_scratch: Vec::new(),
-            scan_guests: Vec::new(),
             last_scan_replayed: false,
             last_scan_saved: 0,
             phase_trace: None,
@@ -855,20 +849,24 @@ impl ControlPlane {
     /// xl's unique-name check: list every domain and read its name.
     ///
     /// The simulated charge is the per-request scan's, always; the host
-    /// work is not. The guarded closed form ([`Self::xl_name_check_replay`])
-    /// runs first and charges the identical amount without entering the
-    /// store engine. Only when its guard fails — a foreign or missing
-    /// `/local/domain` entry, a Dom0 `name` node, or a name collision —
-    /// does the real scan below run, and it stays the reference the
-    /// closed form is tested against.
-    pub(crate) fn xl_name_check(
+    /// work is not. One hash probe of the store's `/local/domain`
+    /// summary decides: when no `name` node can hold `name`, the closed
+    /// form ([`Xenstored::replay_name_scan`]) charges exactly what the
+    /// scan would, in O(1), and the store engine is never entered. A hit
+    /// — a real collision or a hash false positive — runs the real scan
+    /// below, which reproduces `NameTaken` with its exact early-exit
+    /// charges and stays the reference the closed form is tested
+    /// against. Public for the host-cost microbench.
+    pub fn xl_name_check(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
         name: &str,
     ) -> Result<(), PlaneError> {
-        self.last_scan_replayed = self.xl_name_check_replay(cost, meter, name);
+        let summary = self.xs.store().local_domain_summary();
+        self.last_scan_replayed = !summary.may_hold_name(name.as_bytes());
         if self.last_scan_replayed {
+            self.last_scan_saved = self.xs.replay_name_scan(cost, meter);
             return Ok(());
         }
         self.xl_name_scan(cost, meter, name)
@@ -909,60 +907,6 @@ impl ControlPlane {
             return Err(PlaneError::NameTaken(name.to_string()));
         }
         Ok(())
-    }
-
-    /// Attempts the closed-form twin of `xl_name_check`: validates —
-    /// without charging — that `/local/domain`'s children are exactly
-    /// this plane's VM table (plus, possibly, Dom0's own directory,
-    /// whose `name` node must be absent) and that no guest already has
-    /// `name`; when they are, [`Xenstored::replay_name_scan`] charges
-    /// precisely what the real scan would have and the store engine is
-    /// never entered. Returns false on any mismatch — including a name
-    /// collision, so the real scan reproduces `NameTaken` with its exact
-    /// early-exit charges. One pass over the children: O(n) uncharged
-    /// probes, against the real scan's O(n) charged requests and sort.
-    fn xl_name_check_replay(&mut self, cost: &CostModel, meter: &mut Meter, name: &str) -> bool {
-        let ld = self.xs.local_domain_sym();
-        let mut children = std::mem::take(&mut self.scan_scratch);
-        let mut guests = std::mem::take(&mut self.scan_guests);
-        guests.clear();
-        let mut replayable = match self.xs.probe_children_u32(ld, &mut children) {
-            Ok(all_numeric) => all_numeric,
-            // No `/local/domain` at all: the scan is one NotFound
-            // directory request, which the empty closed form matches.
-            Err(XsError::NotFound) => children.is_empty(),
-            Err(_) => false,
-        };
-        let mut dom0_entry = false;
-        for &c in &children {
-            if !replayable {
-                break;
-            }
-            if c == 0 {
-                dom0_entry = true;
-                continue;
-            }
-            match self.vms.get(&DomId(c)) {
-                Some(vm) if vm.name != name => guests.push((c, vm.name.len())),
-                // A foreign entry, or the collision the real scan reports.
-                _ => replayable = false,
-            }
-        }
-        // Children are unique, so membership + matching count means the
-        // sets are equal.
-        replayable = replayable
-            && guests.len() == self.vms.len()
-            && (!dom0_entry || {
-                let name_sym = self.xs.child_sym(self.xs.domain_dir_sym(0), "name");
-                !self.xs.probe_exists(name_sym)
-            });
-        if replayable {
-            self.last_scan_saved = children.len() as u64 + 1;
-            self.xs.replay_name_scan(cost, meter, dom0_entry, guests.iter().copied());
-        }
-        self.scan_scratch = children;
-        self.scan_guests = guests;
-        replayable
     }
 
     /// Appends a phase breakpoint to the active trace, if any.

@@ -120,13 +120,23 @@ enum Shape {
     MissingGuest,
     /// The checked name is already taken.
     Collision,
+    /// A foreign writer renamed a guest's `name`.
+    RenamedGuest,
+    /// A guest's `name` node was removed.
+    RemovedName,
+    /// A guest's directory moved to `/local/domain/00<domid>`, which
+    /// parses to the same domid under a longer path.
+    AliasedDomid,
+    /// A foreign writer renamed a guest to the name being checked.
+    ForeignRewriteToRequested,
 }
 
 /// The closed-form name check against the real scan on forks of one
-/// world: whether the closed form applies or its guard falls back, the
-/// outcome, the per-`Category` charges, the daemon's request stats and
-/// its log rotations agree exactly — including across log rotations,
-/// with guest creates in between.
+/// world: the outcome, the per-`Category` charges, the daemon's request
+/// stats and its log rotations agree exactly — including across log
+/// rotations, with guest creates in between. Every shape takes the
+/// closed form except those where the name is taken, whose hash hit
+/// falls back to the real scan.
 #[test]
 fn closed_form_name_check_matches_the_real_scan() {
     let img = GuestImage::unikernel_daytime();
@@ -136,7 +146,7 @@ fn closed_form_name_check_matches_the_real_scan() {
     }
     let mut rng = SimRng::new(0x5ca1);
     let mut crossed_rotation = false;
-    for case in 0..28 {
+    for case in 0..44 {
         let shape = [
             Shape::Clean,
             Shape::NoLocalDomain,
@@ -145,26 +155,48 @@ fn closed_form_name_check_matches_the_real_scan() {
             Shape::Dom0Name,
             Shape::MissingGuest,
             Shape::Collision,
-        ][case % 7];
+            Shape::RenamedGuest,
+            Shape::RemovedName,
+            Shape::AliasedDomid,
+            Shape::ForeignRewriteToRequested,
+        ][case % 11];
         let mut world = match shape {
             Shape::NoLocalDomain => plane(ToolstackMode::Xl),
             _ => base.fork(),
         };
-        let mut poke = |path: &str| {
-            let p = XsPath::parse(path).unwrap();
-            world.xs.store_mut_for_tests().write(0, &p, b"x").unwrap();
+        let guest = 1 + rng.index(40);
+        let store = world.xs.store_mut_for_tests();
+        let mut poke = |path: &str, value: &[u8]| {
+            store.write(0, &XsPath::parse(path).unwrap(), value).unwrap();
         };
         match shape {
-            Shape::ForeignNumeric => poke(&format!("/local/domain/{}/data", 900 + rng.index(99))),
-            Shape::NonNumeric => poke("/local/domain/tools/x"),
-            Shape::Dom0Name => poke("/local/domain/0/name"),
-            Shape::MissingGuest => {
-                let p = XsPath::parse(&format!("/local/domain/{}", 1 + rng.index(40))).unwrap();
-                world.xs.store_mut_for_tests().rm(0, &p).unwrap();
+            Shape::ForeignNumeric => {
+                poke(&format!("/local/domain/{}/data", 900 + rng.index(99)), b"x")
             }
-            _ => {}
+            Shape::NonNumeric => poke("/local/domain/tools/x", b"x"),
+            Shape::Dom0Name => poke("/local/domain/0/name", b"x"),
+            Shape::RenamedGuest => poke(&format!("/local/domain/{guest}/name"), b"renamed"),
+            Shape::ForeignRewriteToRequested => {
+                poke(&format!("/local/domain/{guest}/name"), b"rewritten")
+            }
+            Shape::AliasedDomid => {
+                let dir = XsPath::parse(&format!("/local/domain/{guest}")).unwrap();
+                let name = store.read(0, &dir.child("name").unwrap()).unwrap().to_vec();
+                store.rm(0, &dir).unwrap();
+                let alias = XsPath::parse(&format!("/local/domain/00{guest}/name")).unwrap();
+                store.write(0, &alias, &name).unwrap();
+            }
+            Shape::MissingGuest | Shape::RemovedName => {
+                let dir = format!("/local/domain/{guest}");
+                let path = match shape {
+                    Shape::RemovedName => format!("{dir}/name"),
+                    _ => dir,
+                };
+                store.rm(0, &XsPath::parse(&path).unwrap()).unwrap();
+            }
+            Shape::Clean | Shape::NoLocalDomain | Shape::Collision => {}
         }
-        let expect_closed_form = matches!(shape, Shape::Clean | Shape::NoLocalDomain);
+        let name_taken = matches!(shape, Shape::Collision | Shape::ForeignRewriteToRequested);
         let (mut fast, mut real) = (world.fork(), world.fork());
         let cost = world.cost();
         // The clean shape runs long enough to rotate the access log
@@ -174,6 +206,7 @@ fn closed_form_name_check_matches_the_real_scan() {
         for round in 0..rounds {
             let name = match shape {
                 Shape::Collision => format!("g-{}", rng.index(40)),
+                Shape::ForeignRewriteToRequested => "rewritten".to_string(),
                 _ => format!("new-{round}"),
             };
             let (mut m_fast, mut m_real) = (Meter::new(), Meter::new());
@@ -182,10 +215,10 @@ fn closed_form_name_check_matches_the_real_scan() {
             let r_real = real.xl_name_scan(&cost, &mut m_real, &name);
             crossed_rotation |= real.xs.log_rotations() > rotations;
             assert_eq!(r_fast, r_real, "{shape:?}: outcome");
-            if matches!(shape, Shape::Collision) {
+            if name_taken {
                 assert_eq!(r_real, Err(PlaneError::NameTaken(name.clone())));
             }
-            assert_eq!(fast.last_scan_replayed, expect_closed_form, "{shape:?}");
+            assert_eq!(fast.last_scan_replayed, !name_taken, "{shape:?}");
             for cat in Category::ALL {
                 assert_eq!(m_fast.of(cat), m_real.of(cat), "{shape:?}: {cat} charge");
             }
@@ -197,6 +230,12 @@ fn closed_form_name_check_matches_the_real_scan() {
             }
         }
         assert_eq!(fast.world_digest64(), real.world_digest64(), "{shape:?}: worlds");
+        let store = fast.xs.store();
+        assert_eq!(
+            store.local_domain_summary(),
+            &store.local_domain_summary_recomputed(),
+            "{shape:?}: summary"
+        );
     }
     assert!(crossed_rotation, "some compared check must rotate the log");
 }

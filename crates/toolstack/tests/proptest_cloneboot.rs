@@ -17,14 +17,15 @@
 //! 2. **Destroy undoes a replayed create.** Destroying a guest whose
 //!    create was replayed restores the store to its pre-create node
 //!    count and leaves a world digest-identical to the full-path twin.
-//! 3. **Mid-chain invalidation (xl).** A foreign node appearing under
-//!    `/local/domain` breaks the shape check; creates fall back to the
-//!    full scan (correct results, no poisoning) and resume replaying
-//!    once the foreign node is gone.
+//! 3. **Mid-chain store drift (xl).** A foreign node appearing under
+//!    `/local/domain` is one more input to the closed-form name scan:
+//!    replays stay closed-form and exact. A foreign `name` equal to the
+//!    requested one runs the real scan, which reports the collision
+//!    without poisoning the template.
 
 use guests::GuestImage;
 use simcore::{Machine, MachinePreset};
-use toolstack::{cloneboot, ControlPlane, ToolstackMode};
+use toolstack::{cloneboot, ControlPlane, PlaneError, ToolstackMode};
 use xenstore::XsPath;
 
 const MODES: [ToolstackMode; 5] = [
@@ -139,11 +140,25 @@ fn destroy_after_replay_fully_undoes_the_create() {
     }
 }
 
+/// Requests xl's real name scan would send right now: one directory of
+/// `/local/domain` plus one read per numeric entry, counted from a
+/// listing rather than from the store's summary.
+fn scan_requests(cp: &ControlPlane) -> u64 {
+    let ld = XsPath::parse("/local/domain").unwrap();
+    let entries = cp.xs.store().directory(0, &ld).unwrap();
+    1 + entries.iter().filter(|e| e.parse::<u32>().is_ok()).count() as u64
+}
+
 /// The acceptance scenario: a density-dependent cost input — the shape
 /// of `/local/domain`, which the name scan's charge grows with —
-/// changes mid-chain, and replays must fall back to full execution.
+/// changes mid-chain. The closed form charges from the store's own
+/// `/local/domain` summary, so a foreign entry is one more input to it:
+/// replays stay closed-form, replay every request the real scan would
+/// send (the foreign entry's read included) and stay identical to full
+/// execution. Only a name the store may already hold runs the real
+/// scan, which reports the collision without poisoning the template.
 #[test]
-fn foreign_store_node_mid_chain_falls_back_to_full_execution() {
+fn foreign_store_node_mid_chain_stays_exact() {
     let img = image();
     let mode = ToolstackMode::Xl;
     for seed in SEEDS {
@@ -157,65 +172,65 @@ fn foreign_store_node_mid_chain_falls_back_to_full_execution() {
 
         // A node xl never wrote appears under /local/domain — say a
         // stale entry left by an out-of-band tool. Both worlds see it
-        // (digests must stay comparable); only the templated plane's
-        // shape check cares.
+        // (digests must stay comparable).
         let foreign = XsPath::parse("/local/domain/9999").unwrap();
-        templated
-            .xs
-            .store_mut_for_tests()
-            .mkdir(0, &foreign)
-            .expect("plant foreign node");
-        reference
-            .xs
-            .store_mut_for_tests()
-            .mkdir(0, &foreign)
-            .expect("plant foreign node");
-
-        let fallbacks_before = cloneboot::fallback_total();
+        for cp in [&mut templated, &mut reference] {
+            cp.xs.store_mut_for_tests().mkdir(0, &foreign).expect("plant foreign node");
+        }
         for i in 6..9 {
             let name = format!("{}-{i}", img.name);
+            let before = templated.clone_stats;
+            let requests = scan_requests(&templated);
             let fast =
-                cloneboot::create_and_boot(&mut templated, &name, &img).expect("fallback create");
+                cloneboot::create_and_boot(&mut templated, &name, &img).expect("replayed create");
             let full = reference.create_and_boot(&name, &img).expect("direct create");
-            assert_eq!(fast, full, "seed {seed} guest {i}: fallback scan diverged");
+            assert_eq!(fast, full, "seed {seed} guest {i}: replay diverged");
+            let after = templated.clone_stats;
+            assert_eq!(
+                after.replayed,
+                before.replayed + 1,
+                "seed {seed} guest {i}: foreign node forced the real scan"
+            );
+            assert_eq!(
+                after.saved - before.saved,
+                requests,
+                "seed {seed} guest {i}: closed form replayed the wrong request count"
+            );
         }
-        assert!(
-            cloneboot::fallback_total() >= fallbacks_before + 3,
-            "seed {seed}: foreign node did not force full-scan fallbacks"
-        );
-        let info = cloneboot::template_info(&templated, &img).expect("template still registered");
-        assert!(
-            !info.poisoned,
-            "seed {seed}: a shape fallback must not poison the template"
-        );
         assert_eq!(
             digest(&templated),
             digest(&reference),
-            "seed {seed}: fallback world diverged"
+            "seed {seed}: world with a foreign entry diverged"
         );
 
-        // Once the foreign node is gone the shape re-validates and the
-        // closed form applies again.
-        templated
-            .xs
-            .store_mut_for_tests()
-            .rm(0, &foreign)
-            .expect("clear foreign node");
-        reference
-            .xs
-            .store_mut_for_tests()
-            .rm(0, &foreign)
-            .expect("clear foreign node");
-        let fallbacks_mid = cloneboot::fallback_total();
+        // The foreign entry now names itself like the next create: the
+        // name probe hits, the real scan runs and reports the collision.
+        let name_node = foreign.child("name").unwrap();
+        for cp in [&mut templated, &mut reference] {
+            cp.xs.store_mut_for_tests().write(0, &name_node, b"taken").expect("foreign name");
+        }
+        let fallbacks_before = cloneboot::fallback_total();
+        let fast = cloneboot::create_and_boot(&mut templated, "taken", &img);
+        let full = reference.create_and_boot("taken", &img);
+        assert_eq!(fast, full, "seed {seed}: collision outcome diverged");
+        assert_eq!(fast, Err(PlaneError::NameTaken("taken".into())));
+        assert!(
+            cloneboot::fallback_total() > fallbacks_before,
+            "seed {seed}: a taken name did not run the real scan"
+        );
+        let info = cloneboot::template_info(&templated, &img).expect("template still registered");
+        assert!(!info.poisoned, "seed {seed}: a collision must not poison the template");
+
+        // Once the foreign node is gone the replays go on in closed form.
+        for cp in [&mut templated, &mut reference] {
+            cp.xs.store_mut_for_tests().rm(0, &foreign).expect("clear foreign node");
+        }
+        let before = templated.clone_stats;
         let fast = cloneboot::create_and_boot(&mut templated, "after-clear", &img)
             .expect("recovered create");
         let full = reference.create_and_boot("after-clear", &img).expect("direct create");
         assert_eq!(fast, full, "seed {seed}: recovered replay diverged");
-        assert_eq!(
-            cloneboot::fallback_total(),
-            fallbacks_mid,
-            "seed {seed}: shape check did not recover after the foreign node was removed"
-        );
+        assert_eq!(templated.clone_stats.replayed, before.replayed + 1, "seed {seed}");
         assert_eq!(
             digest(&templated),
             digest(&reference),

@@ -23,6 +23,7 @@
 //! [`simcore::Category::Xenstore`].
 
 pub mod hash;
+pub mod ldsummary;
 pub mod log;
 pub mod path;
 pub mod store;
@@ -32,6 +33,7 @@ pub mod watch;
 pub mod xenstored;
 
 pub use hash::Mix128;
+pub use ldsummary::LocalDomainSummary;
 pub use log::AccessLog;
 pub use path::XsPath;
 pub use store::{Perms, Store, StoreCensus, XsError};

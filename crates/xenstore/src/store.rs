@@ -27,6 +27,7 @@ use std::fmt;
 use std::sync::Arc;
 
 use crate::hash::Mix128;
+use crate::ldsummary::{LocalDomainSummary, NameVal};
 use crate::path::XsPath;
 use crate::sym::{Interner, XsSym};
 
@@ -342,6 +343,23 @@ const CONST_VALS: &[&[u8]] = &[
 /// Sentinel in `Store::slot_of`: the symbol has no live node.
 const NO_SLOT: u32 = u32::MAX;
 
+/// A path component parsed as `u32`, if it is one — the predicate xl's
+/// unique-name scan keys on (so "007" and "+5" count; "tools" does not).
+fn numeric_name(name: &str) -> Option<u32> {
+    name.parse().ok()
+}
+
+/// What a node is to xl's unique-name scan (see [`LocalDomainSummary`]).
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum LdRole {
+    /// Neither listed nor read by the scan.
+    Unread,
+    /// A child of `/local/domain`; `Some(name length)` when numeric.
+    Child(Option<u64>),
+    /// The `name` node of a numeric child of `/local/domain`.
+    Name,
+}
+
 /// Arena-occupancy snapshot — the churn suite's per-world leak
 /// instrument. Two worlds holding the same population must report
 /// identical censuses; under churn, `capacity` must plateau at the peak
@@ -418,6 +436,11 @@ pub struct Store {
     owned: BTreeMap<u32, usize>,
     /// Per-domain node quota (None = unlimited).
     quota: Option<usize>,
+    /// `/local/domain`, interned at construction.
+    local_domain: XsSym,
+    /// What xl's unique-name scan would read from `/local/domain`,
+    /// updated wherever a node is created, assigned or removed.
+    ld_summary: LocalDomainSummary,
 }
 
 impl Default for Store {
@@ -432,8 +455,10 @@ impl Store {
         let empty: Arc<[u8]> = Arc::from(&b""[..]);
         let mut nodes = NodeArena::new();
         nodes.push(Node::new(&empty, Perms::dom0(), 0));
+        let mut interner = Interner::new();
+        let local_domain = interner.intern("/local/domain");
         Store {
-            interner: RefCell::new(Interner::new()),
+            interner: RefCell::new(interner),
             nodes,
             hash_cache: RefCell::new(HashCache::new()),
             slot_of: { let mut m = SlotMap::new(); m.set(0, 0); m },
@@ -446,6 +471,8 @@ impl Store {
             generation: 0,
             owned: BTreeMap::new(),
             quota: None,
+            local_domain,
+            ld_summary: LocalDomainSummary::default(),
         }
     }
 
@@ -547,7 +574,12 @@ impl Store {
 
     /// The symbol's final path component parsed as `u32`, if it is one.
     pub(crate) fn sym_name_u32(&self, sym: XsSym) -> Option<u32> {
-        self.interner.borrow().name(sym).parse().ok()
+        numeric_name(self.interner.borrow().name(sym))
+    }
+
+    /// `/local/domain` (interned by [`Store::new`]).
+    pub(crate) fn local_domain_sym(&self) -> XsSym {
+        self.local_domain
     }
 
     /// Sorts symbols by their full path string — the same order the
@@ -801,16 +833,7 @@ impl Store {
         // the slow path below.)
         if self.exists_sym(sym) {
             self.generation += 1;
-            let generation = self.generation;
-            let empty = self.empty.clone();
-            let node = self.node_mut(sym).expect("just checked");
-            if !node.perms.may_write(dom) {
-                return Err(XsError::PermissionDenied);
-            }
-            value.assign(&empty, &mut node.value);
-            node.generation = generation;
-            self.invalidate_hash_up(sym);
-            return Ok(());
+            return self.assign_sym(dom, sym, &value, self.generation);
         }
         // Slow path: build the root-exclusive ancestor chain (top-down)
         // in the reusable scratch buffer so steady-state node creation
@@ -865,6 +888,11 @@ impl Store {
                 let empty = self.empty.clone();
                 self.insert_node(s, Node::new(&empty, perms, generation));
                 self.link_child(parent, s);
+                match self.ld_role(s) {
+                    LdRole::Unread => {}
+                    LdRole::Child(numeric_len) => self.ld_summary.add_child(numeric_len),
+                    LdRole::Name => self.ld_summary.add_name(NameVal::of(b"")),
+                }
                 // Restore the dirty-chain invariant (a fresh `None` cache
                 // must not sit below a cached ancestor). The first hop
                 // pays O(depth); siblings created next find the parent
@@ -873,18 +901,13 @@ impl Store {
                 created += 1;
             }
             if is_last {
-                let empty = self.empty.clone();
-                let node = self.node_mut(s).expect("just ensured");
-                if !node.perms.may_write(dom) {
+                if let Err(e) = self.assign_sym(dom, s, &value, generation) {
                     // A permission failure on the final node can only
                     // happen when it already existed; implicitly created
                     // parents stay, as in xenstored.
                     self.node_count += created;
-                    return Err(XsError::PermissionDenied);
+                    return Err(e);
                 }
-                value.assign(&empty, &mut node.value);
-                node.generation = generation;
-                self.invalidate_hash_up(s);
             }
             parent = s;
         }
@@ -892,6 +915,33 @@ impl Store {
         if dom != 0 && created > 0 {
             *self.owned.entry(dom).or_insert(0) += created;
         }
+        Ok(())
+    }
+
+    /// Assigns `value` to the live node `sym` if `dom` may write it,
+    /// stamping `generation` and keeping the digest cache and the
+    /// `/local/domain` summary in step. Both write paths end here.
+    fn assign_sym(
+        &mut self,
+        dom: u32,
+        sym: XsSym,
+        value: &ValSrc<'_>,
+        generation: u64,
+    ) -> Result<(), XsError> {
+        let name_node = self.ld_role(sym) == LdRole::Name;
+        let empty = self.empty.clone();
+        let node = self.node_mut(sym).expect("assigned node is live");
+        if !node.perms.may_write(dom) {
+            return Err(XsError::PermissionDenied);
+        }
+        let old = name_node.then(|| NameVal::of(&node.value));
+        value.assign(&empty, &mut node.value);
+        node.generation = generation;
+        if let Some(old) = old {
+            let new = NameVal::of(&node.value);
+            self.ld_summary.change_name(old, new);
+        }
+        self.invalidate_hash_up(sym);
         Ok(())
     }
 
@@ -944,6 +994,14 @@ impl Store {
             let idx = s.index();
             let slot = self.slot_of.get(idx);
             debug_assert_ne!(slot, NO_SLOT, "doomed node has a slot");
+            match self.ld_role(s) {
+                LdRole::Unread => {}
+                LdRole::Child(numeric_len) => self.ld_summary.remove_child(numeric_len),
+                LdRole::Name => {
+                    let node = self.nodes.get(slot as usize).expect("doomed node is live");
+                    self.ld_summary.remove_name(NameVal::of(&node.value));
+                }
+            }
             self.nodes.set(slot as usize, None);
             self.slot_of.set(idx, NO_SLOT);
             self.free_slots.push(slot);
@@ -1048,6 +1106,61 @@ impl Store {
         // generations) are excluded from world digests — see DESIGN.md
         // §6h — so the Merkle cache stays warm across perms churn.
         Ok(())
+    }
+
+    // --- the `/local/domain` summary (DESIGN.md §6k) ---------------------
+
+    /// What `sym` is to xl's unique-name scan: two parent hops and, for
+    /// the few nodes near `/local/domain`, a name compare or parse.
+    fn ld_role(&self, sym: XsSym) -> LdRole {
+        let interner = self.interner.borrow();
+        let parent = interner.parent(sym);
+        if parent == self.local_domain {
+            let name = interner.name(sym);
+            return LdRole::Child(numeric_name(name).map(|_| name.len() as u64));
+        }
+        if interner.parent(parent) == self.local_domain
+            && interner.name(sym) == "name"
+            && numeric_name(interner.name(parent)).is_some()
+        {
+            return LdRole::Name;
+        }
+        LdRole::Unread
+    }
+
+    /// The incrementally maintained `/local/domain` summary: O(1).
+    pub fn local_domain_summary(&self) -> &LocalDomainSummary {
+        &self.ld_summary
+    }
+
+    /// The same summary recomputed from the tree — the differential
+    /// oracle for [`Store::local_domain_summary`]. Walks the child
+    /// chains only; interns nothing.
+    pub fn local_domain_summary_recomputed(&self) -> LocalDomainSummary {
+        let mut out = LocalDomainSummary::default();
+        let Some(ld) = self.node(self.local_domain) else {
+            return out;
+        };
+        let interner = self.interner.borrow();
+        let mut cur = ld.first_child();
+        while let Some(entry) = cur {
+            let name = interner.name(entry);
+            let numeric_len = numeric_name(name).map(|_| name.len() as u64);
+            out.add_child(numeric_len);
+            let node = self.node(entry).expect("linked child exists");
+            if numeric_len.is_some() {
+                let mut child = node.first_child();
+                while let Some(c) = child {
+                    let c_node = self.node(c).expect("linked child exists");
+                    if interner.name(c) == "name" {
+                        out.add_name(NameVal::of(&c_node.value));
+                    }
+                    child = c_node.next_sibling();
+                }
+            }
+            cur = node.next_sibling();
+        }
+        out
     }
 
     // --- incremental Merkle digests (DESIGN.md §6h) -----------------------

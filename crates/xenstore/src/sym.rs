@@ -190,7 +190,6 @@ impl Interner {
                 }
             }
         }
-        let mut depth = self.entry(parent.index()).depth;
         for end in missing.into_iter().rev() {
             let arc: Arc<str> = path[..end].into();
             let name_off = if parent == XsSym::ROOT {
@@ -199,7 +198,7 @@ impl Interner {
                 self.entry(parent.index()).path.len() as u32 + 1
             };
             let sym = XsSym(self.len() as u32);
-            depth += 1;
+            let depth = self.entry(parent.index()).depth + 1;
             self.entries.push(SymEntry {
                 parent,
                 depth,

@@ -92,9 +92,8 @@ pub struct Xenstored {
     storm: bool,
     rng: SimRng,
     stats: XsStats,
-    /// Pre-interned path skeleton roots (`/local/domain`, `/vm`): every
-    /// domain/device path is composed from these by symbol hops.
-    local_domain: XsSym,
+    /// Pre-interned `/vm` (the store interns `/local/domain` itself):
+    /// every domain/device path is composed from these by symbol hops.
     vm_root: XsSym,
     /// Recycled transactions ([`Txn::reset`]) so steady-state
     /// `txn_start` allocates nothing.
@@ -111,8 +110,6 @@ impl Xenstored {
         let mut conns = BTreeSet::new();
         conns.insert(0);
         let store = Store::new();
-        let local = store.child_sym(XsSym::ROOT, "local");
-        let local_domain = store.child_sym(local, "domain");
         let vm_root = store.child_sym(XsSym::ROOT, "vm");
         Xenstored {
             store,
@@ -126,7 +123,6 @@ impl Xenstored {
             storm: false,
             rng: SimRng::new(seed),
             stats: XsStats::default(),
-            local_domain,
             vm_root,
             txn_pool: Vec::new(),
             fired_scratch: Vec::new(),
@@ -231,7 +227,7 @@ impl Xenstored {
     /// sit on cloneboot's per-replay content check, where probing for
     /// dirs a mode never writes must stay free.
     pub fn resolve_domain_dir_sym(&self, domid: u32) -> Option<XsSym> {
-        self.store.resolve_child_u32_sym(self.local_domain, domid)
+        self.store.resolve_child_u32_sym(self.local_domain_sym(), domid)
     }
 
     /// `/vm/<domid>` without interning (see
@@ -334,12 +330,12 @@ impl Xenstored {
 
     /// `/local/domain` (pre-interned).
     pub fn local_domain_sym(&self) -> XsSym {
-        self.local_domain
+        self.store.local_domain_sym()
     }
 
     /// `/local/domain/<domid>`.
     pub fn domain_dir_sym(&self, domid: u32) -> XsSym {
-        self.store.child_u32_sym(self.local_domain, domid)
+        self.store.child_u32_sym(self.local_domain_sym(), domid)
     }
 
     /// `/vm/<domid>`.
@@ -574,78 +570,39 @@ impl Xenstored {
         Ok(())
     }
 
-    // --- closed-form name scan support -----------------------------------
-    //
-    // The control plane charges xl's O(n) unique-name scan as closed-form
-    // arithmetic once its guard has validated the store shape.
-    // Everything here is either an uncharged read-only probe (validity
-    // checks) or a batched charge that is integer-exactly what the real
-    // per-request scan would have charged — protocol costs are u64
-    // nanosecond arithmetic, so `n * per_request == sum of n requests`
-    // holds bit-for-bit (`replay_scan_matches_real_scan` pins it).
-
-    /// Uncharged walk of a node's children: clears `out` and pushes each
-    /// child's numeric name, returning `false` if any child's name is
-    /// non-numeric (an entry xl's scan would skip, which the closed form
-    /// cannot express). Ignores read permissions — a name-check guard
-    /// probe, not a client operation.
-    pub fn probe_children_u32(&self, sym: XsSym, out: &mut Vec<u32>) -> Result<bool, XsError> {
-        out.clear();
-        let mut all = true;
-        self.store.for_each_child_sym(0, sym, |child| {
-            match self.store.sym_name_u32(child) {
-                Some(n) => out.push(n),
-                None => all = false,
-            }
-        })?;
-        Ok(all)
-    }
-
-    /// Uncharged existence probe (name-check guard only).
-    pub fn probe_exists(&self, sym: XsSym) -> bool {
-        self.store.exists_sym(sym)
-    }
-
-    /// Byte length of `/local/domain/<domid>/name` — what
-    /// [`Xenstored::read_s`] would charge as path payload for a domain's
-    /// name node. Derived from the live `/local/domain` path length so
-    /// it cannot drift from the interner's path strings.
-    fn domain_name_path_len(&self, domid: u32) -> u64 {
-        let digits = if domid == 0 { 1 } else { domid.ilog10() as u64 + 1 };
-        // "<local_domain>" + "/" + digits + "/name"
-        self.store.path_len(self.local_domain) as u64 + 1 + digits + "/name".len() as u64
-    }
+    // --- closed-form name scan ----------------------------------------------
 
     /// Charges exactly what xl's unique-name scan — one `directory` of
-    /// `/local/domain` plus one `read` per numeric entry — would charge,
-    /// without executing the store operations. The caller (the control
-    /// plane's xl name check) has already validated the preconditions this
-    /// arithmetic encodes: the directory's children are precisely the
-    /// `guests` entries plus, when `dom0_entry`, Dom0's own directory
-    /// (whose `name` node does not exist, so its read pays no value
-    /// payload); every guest read succeeds and returns `name_len` bytes.
-    /// Daemon stats and the access log advance as if the requests ran,
-    /// so later rotation spikes land on the same request.
-    pub fn replay_name_scan(
-        &mut self,
-        cost: &CostModel,
-        meter: &mut Meter,
-        dom0_entry: bool,
-        guests: impl Iterator<Item = (u32, usize)>,
-    ) {
-        let mut children: u64 = dom0_entry as u64;
-        // Path payload of each request, starting with the directory's.
-        let mut path_payload = self.store.path_len(self.local_domain) as u64;
-        let mut value_payload: u64 = 0;
-        if dom0_entry {
-            path_payload += self.domain_name_path_len(0);
+    /// `/local/domain` plus one `read` of `<entry>/name` per numeric
+    /// entry — would charge when no entry holds the requested name,
+    /// without executing the store operations. Everything it needs is in
+    /// the store's `/local/domain` summary, so it is O(1) whatever the
+    /// directory holds: non-numeric entries are listed but not read,
+    /// and a missing `name` node is a read that returns no value bytes.
+    /// Protocol costs are `u64` nanosecond arithmetic, so
+    /// `n * per_request` equals the sum of `n` requests bit for bit
+    /// (`replay_scan_matches_real_scan` pins it). Daemon stats and the
+    /// access log advance as if the requests ran, so later rotation
+    /// spikes land on the same request. Returns the requests replayed.
+    pub fn replay_name_scan(&mut self, cost: &CostModel, meter: &mut Meter) -> u64 {
+        // The real scan interns `<entry>/name` as it reads it. Guest
+        // entries carry their `name` node, hence its symbol; Dom0's
+        // directory does not, so intern its symbol here to keep the
+        // interner what the real scan leaves behind.
+        if let Some(dom0) = self.resolve_domain_dir_sym(0) {
+            if self.store.exists_sym(dom0) {
+                self.store.child_sym(dom0, "name");
+            }
         }
-        for (domid, name_len) in guests {
-            children += 1;
-            path_payload += self.domain_name_path_len(domid);
-            value_payload += name_len as u64;
-        }
-        let requests = 1 + children;
+        let summary = self.store.local_domain_summary();
+        let ld_len = self.store.path_len(self.local_domain_sym()) as u64;
+        let requests = 1 + summary.numeric;
+        // The directory's path, then each read's `<ld>/<entry>/name`.
+        let path_payload = ld_len
+            + summary.numeric * (ld_len + 1 + "/name".len() as u64)
+            + summary.numeric_name_bytes;
+        let payload = path_payload + summary.name_value_bytes;
+        let entries = summary.children;
 
         self.stats.requests += requests;
         let per_request = cost.xs_soft_interrupt * 4
@@ -653,12 +610,13 @@ impl Xenstored {
             + cost.xs_process_base.scale(self.flavor.process_mult())
             + cost.xs_poll_per_conn * self.conns.len() as u64;
         let mut dt = per_request * requests;
-        dt += cost.xs_payload_per_byte * (path_payload + value_payload);
-        dt += cost.xs_dir_per_entry * children;
+        dt += cost.xs_payload_per_byte * payload;
+        dt += cost.xs_dir_per_entry * entries;
         let (lines, rotations) = self.log.append_many(requests);
         dt += cost.xs_log_line * lines
             + (cost.xs_log_rotate_per_file * crate::log::NUM_LOG_FILES as u64) * rotations;
         meter.charge(Category::Xenstore, dt);
+        requests
     }
 
     /// Changes permissions on a node.
@@ -1110,14 +1068,19 @@ mod tests {
 
     #[test]
     fn replay_scan_matches_real_scan() {
-        // Twin daemons with identical state: four guests with name nodes
-        // plus Dom0's own directory (whose `name` node does not exist).
+        // Twin daemons with identical state: four guests with name nodes,
+        // Dom0's own directory (whose `name` node does not exist), a
+        // non-numeric entry (listed, not read) and an aliased "007".
         let (mut real, cost, _) = setup();
         let mut fast = Xenstored::new(Flavor::Oxenstored, 42);
         let guests = [(1u32, "a"), (5, "guest-5"), (42, "long-guest-name-42"), (123, "x")];
         let mut m = Meter::new();
         for xs in [&mut real, &mut fast] {
             xs.write(&cost, &mut m, 0, &p("/local/domain/0/backend"), b"")
+                .unwrap();
+            xs.write(&cost, &mut m, 0, &p("/local/domain/tools/name"), b"t")
+                .unwrap();
+            xs.write(&cost, &mut m, 0, &p("/local/domain/007/name"), b"alias")
                 .unwrap();
             for (d, name) in guests {
                 xs.write(
@@ -1135,7 +1098,7 @@ mod tests {
         }
 
         // Enough scans to cross a log rotation inside the batched path:
-        // 2500 scans x 6 requests each > ROTATE_LINES.
+        // 2500 scans x 7 requests each > ROTATE_LINES.
         let (mut m_real, mut m_fast) = (Meter::new(), Meter::new());
         let mut dir = Vec::new();
         for _ in 0..2500 {
@@ -1152,12 +1115,7 @@ mod tests {
                 let _ = real.read_s(&cost, &mut m_real, 0, name_sym);
             }
             // ...versus its closed form.
-            fast.replay_name_scan(
-                &cost,
-                &mut m_fast,
-                true,
-                guests.iter().map(|&(d, name)| (d, name.len())),
-            );
+            fast.replay_name_scan(&cost, &mut m_fast);
         }
 
         assert_eq!(m_real.total(), m_fast.total());

@@ -12,7 +12,8 @@ use std::sync::Arc;
 use simcore::SimRng;
 use xenstore::txn::{Txn, TxnId};
 use xenstore::watch::WatchTable;
-use xenstore::{Store, XsError, XsPath, XsSym};
+use simcore::{CostModel, Meter};
+use xenstore::{Flavor, Perms, Store, XsError, XsPath, XsSym, Xenstored};
 
 /// A small path universe so operations collide often.
 fn random_path(rng: &mut SimRng) -> XsPath {
@@ -550,4 +551,105 @@ fn watch_table_matches_a_naive_model() {
             }
         }
     }
+}
+
+/// A node under `/local/domain` from a universe mixing plain domids,
+/// an alias ("007" parses like "7"), a signed form ("+5" parses too;
+/// no path string can spell it, so symbols are composed directly) and
+/// a non-numeric entry — down to `name` nodes and their siblings — plus
+/// `/local/domain` and `/local` themselves.
+fn random_ld_sym(rng: &mut SimRng, xs: &Xenstored) -> XsSym {
+    const ENTRIES: [&str; 7] = ["0", "1", "7", "007", "+5", "tools", "12"];
+    let ld = xs.local_domain_sym();
+    let entry = xs.child_sym(ld, ENTRIES[rng.index(ENTRIES.len())]);
+    match rng.index(10) {
+        0 => xs.parent_sym(ld),
+        1 => ld,
+        2 => entry,
+        3 => xs.child_sym(entry, "data"),
+        4 => xs.child_sym(xs.child_sym(entry, "name"), "sub"),
+        _ => xs.child_sym(entry, "name"),
+    }
+}
+
+/// A name value from a small set, so rewrites collide and repeat.
+fn random_name(rng: &mut SimRng) -> &'static [u8] {
+    const NAMES: [&[u8]; 5] = [b"", b"a", b"vm-1", b"vm-2", b"a-much-longer-guest-name"];
+    NAMES[rng.index(NAMES.len())]
+}
+
+/// One random mutation: a write, mkdir or rm by Dom0, an ownership
+/// hand-over, or a write by guest 5 (which fails part-way down a chain
+/// when it lacks a parent's write bit).
+fn ld_mutate(rng: &mut SimRng, xs: &mut Xenstored) {
+    let (cost, mut m) = (CostModel::paper_defaults(), Meter::new());
+    let s = random_ld_sym(rng, xs);
+    let _ = match rng.index(7) {
+        0..=2 => xs.write_s(&cost, &mut m, 0, s, random_name(rng)),
+        3 => xs.rm_s(&cost, &mut m, 0, s),
+        4 => xs.mkdir_s(&cost, &mut m, 0, s),
+        5 => {
+            let perms = Perms { owner: 5, others_read: true, others_write: rng.index(2) == 0 };
+            xs.set_perms_s(&cost, &mut m, 0, s, perms)
+        }
+        _ => xs.write_s(&cost, &mut m, 5, s, random_name(rng)),
+    };
+}
+
+fn assert_summary_exact(xs: &Xenstored, what: &str) {
+    let store = xs.store();
+    assert_eq!(
+        store.local_domain_summary(),
+        &store.local_domain_summary_recomputed(),
+        "{what}"
+    );
+}
+
+/// The store's incremental `/local/domain` summary equals a from-scratch
+/// recompute after every step: direct mutations, transactions that
+/// commit or conflict (against interleaved direct writes and ambient
+/// interference), and forks taken mid-sequence with both sides mutated
+/// afterwards.
+#[test]
+fn local_domain_summary_matches_recompute() {
+    let mut rng = SimRng::new(0x5708);
+    let (cost, mut m) = (CostModel::paper_defaults(), Meter::new());
+    let (mut conflicts, mut commits) = (0, 0);
+    for case in 0..96 {
+        let mut xs = Xenstored::new(Flavor::Oxenstored, case);
+        xs.set_ambient_interference([0.0, 0.2][rng.index(2)]);
+        let mut forks: Vec<Xenstored> = Vec::new();
+        for step in 0..rng.index(80) {
+            match rng.index(8) {
+                0 => {
+                    let id = xs.txn_start(&cost, &mut m, 0);
+                    for _ in 0..rng.index(6) {
+                        let s = random_ld_sym(&mut rng, &xs);
+                        let _ = match rng.index(3) {
+                            0 => xs.txn_rm_s(&cost, &mut m, 0, id, s),
+                            1 => xs.txn_read_s(&cost, &mut m, 0, id, s).map(|_| ()),
+                            _ => xs.txn_write_s(&cost, &mut m, 0, id, s, random_name(&mut rng)),
+                        };
+                        if rng.index(3) == 0 {
+                            ld_mutate(&mut rng, &mut xs);
+                        }
+                    }
+                    match xs.txn_end(&cost, &mut m, 0, id, true) {
+                        Err(XsError::Again) => conflicts += 1,
+                        _ => commits += 1,
+                    }
+                }
+                1 if forks.len() < 3 => forks.push(xs.clone()),
+                _ => ld_mutate(&mut rng, &mut xs),
+            }
+            assert_summary_exact(&xs, &format!("case {case} step {step}"));
+            for (i, fork) in forks.iter_mut().enumerate() {
+                if rng.index(2) == 0 {
+                    ld_mutate(&mut rng, fork);
+                }
+                assert_summary_exact(fork, &format!("case {case} step {step} fork {i}"));
+            }
+        }
+    }
+    assert!(conflicts > 0 && commits > 0, "{conflicts} conflicts, {commits} commits");
 }
