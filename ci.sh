@@ -1,18 +1,17 @@
 #!/usr/bin/env bash
-# CI gate: build everything, lint the store, toolstack and simulation
-# core crates with clippy (warnings are errors), run the whole test
-# suite (with a suite-count guard so lost --workspace coverage fails
-# loudly),
-# smoke-run the hot-path microbenches, then regenerate all figures at
+# CI gate: build everything, lint the store, toolstack, simulation
+# core, bench, metrics, container, hypervisor and guest crates with
+# clippy (warnings are errors), run the whole test suite (with a
+# suite-count guard so lost --workspace coverage fails loudly),
+# smoke-run the hot-path microbenches, check the headline numbers
+# against results/headline.txt, then regenerate all figures at
 # quick scale through the DAG runner. Fails if any expected artefact is
 # missing, if disabling the world-snapshot cache changes any artefact
 # byte, if any scheduler width changes any artefact byte (quick scale
 # at --jobs 2; full scale at --jobs 1/2/8 against the committed
 # sequential reference in results/), if the full-scale sequential wall
-# regressed >1.5x above the committed baseline (every-replay clone-boot
-# verification rides on the incremental world digest — it must stay
-# cheap), if runner throughput collapsed
-# (>5x below the committed baseline in results/bench_runner.json — a
+# regressed >1.5x above the committed baseline, if runner throughput
+# collapsed (>5x below the committed baseline in results/bench_runner.json — a
 # coarse band that only trips on real regressions, not
 # machine-to-machine noise), or if the density hot path allocates again
 # (deterministic allocs/event > 1.0; the allocation-free request path
@@ -23,8 +22,9 @@ cd "$(dirname "$0")"
 echo "== build (release, workspace) =="
 cargo build --release --workspace
 
-echo "== clippy (xenstore, toolstack, simcore; warnings are errors) =="
-cargo clippy --release --offline -p xenstore -p toolstack -p simcore -- -D warnings
+echo "== clippy (store, toolstack, simulation and bench crates; warnings are errors) =="
+cargo clippy --release --offline -p xenstore -p toolstack -p simcore \
+  -p bench -p metrics -p container -p hypervisor -p guests -- -D warnings
 
 echo "== tests (workspace) =="
 test_log="$(mktemp)"
@@ -51,6 +51,19 @@ cargo run --release --offline --manifest-path perfbench/Cargo.toml -- --self-tes
 echo "== microbenches (quick smoke: scheduler + xenstore hot paths) =="
 LIGHTVM_BENCH_QUICK=1 cargo bench -p bench --bench hotpath
 LIGHTVM_BENCH_QUICK=1 cargo bench -p bench --bench simcore_hot
+
+echo "== headline numbers (headline vs committed results/headline.txt) =="
+# The headline numbers quoted in EXPERIMENTS.md and README.md are what
+# `headline` prints; the committed copy must stay byte-equal to it.
+headline_out="$(mktemp)"
+cargo run --release -q -p bench --bin headline > "$headline_out"
+if ! cmp -s results/headline.txt "$headline_out"; then
+  echo "ci: headline output differs from results/headline.txt" >&2
+  diff results/headline.txt "$headline_out" >&2 || true
+  rm -f "$headline_out"
+  exit 1
+fi
+rm -f "$headline_out"
 
 echo "== figures (runall, quick scale, --seq reference) =="
 FIG_DIR="${LIGHTVM_FIG_DIR:-target/ci-figures}"
@@ -186,30 +199,6 @@ for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
   done
 done
 
-echo "== clone-boot gate (template boots vs --no-clone-boot) =="
-# Template boots (toolstack::cloneboot) wrap repeated creates in
-# template bookkeeping: recorded deltas, drift and content checks,
-# first-replay dual execution. Like the snapshot cache, they must be
-# invisible in the artefacts: a run with template boots disabled —
-# every create straight through ControlPlane::create_and_boot — must
-# reproduce the default run's bytes exactly. Both runs take the same
-# guarded closed-form name check, so this gate does not compare the
-# closed form with the real scan; the toolstack unit test
-# closed_form_name_check_matches_the_real_scan carries that proof.
-LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/noclone" \
-  cargo run --release -p bench --bin runall -- --no-clone-boot \
-  --report "$FIG_DIR/noclone/bench_runner.json" > /dev/null
-for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
-          fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations \
-          faults churn cluster; do
-  for ext in json csv; do
-    if ! cmp -s "$FIG_DIR/$id.$ext" "$FIG_DIR/noclone/$id.$ext"; then
-      echo "ci: $id.$ext differs with template boots disabled" >&2
-      exit 1
-    fi
-  done
-done
-
 echo "== fault-free baseline gate (full scale vs committed results/) =="
 # With the fault plan inactive the injection layer must consume zero
 # RNG draws and charge nothing: every committed figure artefact —
@@ -252,13 +241,12 @@ if [ "$hosts_total" -lt 1000 ] || [ "$guests_total" -lt 100000 ]; then
   exit 1
 fi
 
-echo "== wall gate (full scale, --jobs 1, verification every replay) =="
-# Incremental world digests (DESIGN.md §6h) pay for every-replay clone
-# boot verification; the whole point is that the full run got cheaper,
-# not dearer. Gate the fresh full-scale sequential wall against the
-# committed baseline with a 1.5x noise band — wide enough for
-# machine-to-machine variance, tight enough to catch the digest path
-# going accidentally O(world) again.
+echo "== wall gate (full scale, --jobs 1) =="
+# Gate the fresh full-scale sequential wall against the committed
+# baseline with a 1.5x noise band — wide enough for machine-to-machine
+# variance, tight enough to catch a hot path (the incremental world
+# digest of DESIGN.md §6h, the closed-form name check of §6k) going
+# accidentally O(world) again.
 extract_wall() {
   grep -o '"wall_ms": *[0-9.]*' "$1" | head -1 | grep -o '[0-9.]*$'
 }

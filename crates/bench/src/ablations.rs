@@ -193,11 +193,8 @@ fn page_sharing_unit(scale: Scale) -> UnitSpec {
             cp.set_page_sharing(share);
             let img = GuestImage::tinyx_noop();
             let mut n = 0;
-            loop {
-                match cp.create_and_boot(&format!("t-{n}"), &img) {
-                    Ok(_) => n += 1,
-                    Err(_) => break,
-                }
+            while cp.create_and_boot(&format!("t-{n}"), &img).is_ok() {
+                n += 1;
                 if n >= cap {
                     break;
                 }
@@ -220,7 +217,8 @@ fn sensitivity_unit(scale: Scale) -> UnitSpec {
         // cost (all others at calibration), y = mean xl create latency.
         // A reproduction conclusion that flips inside ±20% of one
         // primitive would be resting on calibration, not mechanism.
-        let params: [(&str, fn(&mut CostModel, f64)); 5] = [
+        type Tweak = fn(&mut CostModel, f64);
+        let params: [(&str, Tweak); 5] = [
             ("xl_internal", |c, f| c.xl_internal = c.xl_internal.scale(f)),
             ("xl_qemu_spawn", |c, f| c.xl_qemu_spawn = c.xl_qemu_spawn.scale(f)),
             ("hotplug_bash", |c, f| c.hotplug_bash = c.hotplug_bash.scale(f)),

@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! runall [--jobs N] [--filter SUBSTR[,SUBSTR..]] [--list] [--seq]
-//!        [--report PATH] [--no-snapshot-cache] [--no-clone-boot]
+//!        [--report PATH] [--no-snapshot-cache]
 //! ```
 //!
 //! * `--jobs N`   worker threads (default: available parallelism)
@@ -16,9 +16,6 @@
 //!   unit re-simulates its world from scratch. Artefacts are
 //!   byte-identical either way (`ci.sh` gates it); the flag exists to
 //!   prove that and to time the uncached path.
-//! * `--no-clone-boot`  disable template boots: every create runs the
-//!   full toolstack path instead of replaying a recorded delta.
-//!   Artefacts are byte-identical either way (`ci.sh` gates this too).
 //!
 //! Figure artefacts go to `LIGHTVM_FIG_DIR` (default `target/figures`)
 //! exactly as the individual `figNN` binaries write them; the merged
@@ -54,7 +51,7 @@ struct Args {
 
 fn usage() -> ! {
     eprintln!(
-        "usage: runall [--jobs N] [--filter SUBSTR[,SUBSTR..]] [--list] [--seq] [--report PATH] [--no-snapshot-cache] [--no-clone-boot]"
+        "usage: runall [--jobs N] [--filter SUBSTR[,SUBSTR..]] [--list] [--seq] [--report PATH] [--no-snapshot-cache]"
     );
     std::process::exit(2);
 }
@@ -87,7 +84,6 @@ fn parse_args() -> Args {
                 args.report = std::path::PathBuf::from(it.next().unwrap_or_else(|| usage()));
             }
             "--no-snapshot-cache" => bench::worldcache::set_enabled(false),
-            "--no-clone-boot" => toolstack::cloneboot::set_enabled(false),
             _ => usage(),
         }
     }
@@ -167,14 +163,6 @@ fn main() -> ExitCode {
         report.max_width(),
         report.critical_path_ms()
     );
-    say!(
-        "# cloneboot: {}",
-        if toolstack::cloneboot::enabled() {
-            toolstack::cloneboot::summary()
-        } else {
-            "disabled (--no-clone-boot)".to_string()
-        }
-    );
     match report.write(&args.report) {
         Ok(()) => say!("# perf report -> {}", args.report.display()),
         Err(e) => {
@@ -183,10 +171,10 @@ fn main() -> ExitCode {
         }
     }
     say!(
-        "# wall {:.1} ms, task wall {:.1} ms, speedup {:.2}x (bound {:.2}x, {} of {} cores), {} events, {:.0} events/sec aggregate, {:.3} allocs/event",
+        "# wall {:.1} ms, task wall {:.1} ms, occupancy {:.2}x (speedup bound {:.2}x, {} of {} cores), {} events, {:.0} events/sec aggregate, {:.3} allocs/event",
         report.wall_ms,
         report.total_task_wall_ms(),
-        report.speedup(),
+        report.occupancy(),
         report.speedup_bound(),
         report.jobs,
         report.host_cores,

@@ -177,15 +177,16 @@ fn churn_unit(scale: Scale, mode: ToolstackMode, faulty: bool) -> UnitSpec {
                     }
                     // Empty slot: arrival (rolled back and recorded on
                     // an injected fault; the host keeps churning).
-                    None => match cp.create_and_boot(&format!("churn-{s}"), &img) {
-                        Ok((dom, create, boot)) => {
+                    None => {
+                        if let Ok((dom, create, boot)) =
+                            cp.create_and_boot(&format!("churn-{s}"), &img)
+                        {
                             slots[s] = Some(dom);
                             win_creates.push(create.as_millis_f64());
                             virtual_ms += (create + boot).as_millis_f64();
                             creates_ok += 1;
                         }
-                        Err(_) => {}
-                    },
+                    }
                 }
             }
 

@@ -7,8 +7,7 @@
 //! [`toolstack::HostTemplate`]; every cluster host is then *stamped*
 //! from it (a structure-sharing fork + domid recycling + per-host RNG),
 //! so instantiating 1k hosts costs O(hosts) clone work, not
-//! O(hosts × boots) — and each guest created on a host replays through
-//! cloneboot. Hosts are coupled only by a modelled datacenter network
+//! O(hosts × boots). Hosts are coupled only by a modelled datacenter network
 //! ([`lvnet::Link::datacenter`]) advanced by the conservative-lookahead
 //! executor in [`simcore::shard`]: the epoch length is the link delay,
 //! every cross-host message is delivered at the next epoch barrier in
@@ -49,7 +48,7 @@ use metrics::{Cdf, Series};
 use simcore::shard::{self, Envelope, Outbox, WorkerSpan, CONTROLLER};
 use simcore::{FaultPlan, FaultSite};
 use toolstack::fleet::{domid_limit_for, HostTemplate};
-use toolstack::{cloneboot, ControlPlane, ToolstackMode, WorldCensus};
+use toolstack::{ControlPlane, ToolstackMode, WorldCensus};
 
 use crate::figures::{meta, xeon, Dep, FigureSpec, Scale, UnitOutput, UnitSpec};
 use crate::worldcache::{self, WorldSpec};
@@ -248,7 +247,7 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
                 } else {
                     format!("arr-{slot}")
                 };
-                match cloneboot::create_and_boot(&mut host.cp, &name, &img) {
+                match host.cp.create_and_boot(&name, &img) {
                     Ok((dom, create, boot)) => {
                         host.placed.push(dom);
                         out.send(
@@ -330,19 +329,19 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
 
         // 2. Missed-heartbeat detection → evacuate the lost guests.
         if epoch > 0 {
-            for h in 0..view.len() {
-                if !view[h].alive || view[h].seen {
+            for (h, hv) in view.iter_mut().enumerate() {
+                if !hv.alive || hv.seen {
                     continue;
                 }
-                view[h].missed += 1;
-                if view[h].missed >= MISSED_LIMIT {
-                    view[h].alive = false;
+                hv.missed += 1;
+                if hv.missed >= MISSED_LIMIT {
+                    hv.alive = false;
                     let vi = victims.iter().position(|&v| v == h);
                     let t_fail = vi.map(|i| kill_time[i]).unwrap_or(t_now);
                     if detect_ms == 0.0 {
                         detect_ms = t_now - t_fail;
                     }
-                    for _ in 0..view[h].guests {
+                    for _ in 0..hv.guests {
                         let slot = origin.len() as u32;
                         origin.push(t_fail);
                         queue.push_back((slot, true));
@@ -355,14 +354,14 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
         if let Some((at, max)) = sc.fail_at {
             if epoch == at {
                 let mut plan = FaultPlan::seeded(EVAC_SEED, EVAC_RATE);
-                for h in 0..hosts.len() {
-                    if hosts[h].is_some()
+                for (h, host) in hosts.iter_mut().enumerate() {
+                    if host.is_some()
                         && victims.len() < max
                         && plan.should_inject(FaultSite::XsCrash)
                     {
                         victims.push(h);
                         kill_time.push(t_now);
-                        hosts[h] = None;
+                        *host = None;
                     }
                 }
                 if victims.is_empty() {
@@ -500,17 +499,12 @@ fn absorb_hosts(
     out: &mut UnitOutput,
     hosts: &[Option<Host>],
     base: &UnitOutput,
-    base_clone: (u64, u64, u64),
 ) -> u64 {
     let mut guests = 0u64;
     for host in hosts.iter().flatten() {
         let end = UnitOutput::from_plane(&host.cp);
         out.events += end.events - base.events;
         out.virtual_ms += end.virtual_ms - base.virtual_ms;
-        let cs = &host.cp.clone_stats;
-        out.clone_boot_hits += cs.hits - base_clone.0;
-        out.boots_replayed += cs.replayed - base_clone.1;
-        out.boot_events_saved += cs.saved - base_clone.2;
         guests += host.cp.running_count() as u64;
         assert_eq!(host.failures, 0, "cluster host create failed");
     }
@@ -555,8 +549,6 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         stats.into_output(&mut out);
         let template = HostTemplate::capture(&mut world, HEADROOM);
         let base = UnitOutput::from_plane(&world);
-        let cs = &world.clone_stats;
-        let base_clone = (cs.hits, cs.replayed, cs.saved);
 
         let mut guests_s = Series::new(format!("{label}: guests"));
         let mut p50_s = Series::new(format!("{label}: create p50 (ms)"));
@@ -581,7 +573,7 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
             };
             let res = run_scenario(&sc);
             assert_eq!(res.placed.len(), 2 * rung, "{label}@{rung}: arrivals lost");
-            let guests = absorb_hosts(&mut out, &res.hosts, &base, base_clone);
+            let guests = absorb_hosts(&mut out, &res.hosts, &base);
             hosts_total += rung as u64;
             guests_total += guests;
             let x = rung as f64;
@@ -624,8 +616,6 @@ fn placement_unit(scale: Scale) -> UnitSpec {
         stats.into_output(&mut out);
         let template = HostTemplate::capture(&mut world, HEADROOM);
         let base = UnitOutput::from_plane(&world);
-        let cs = &world.clone_stats;
-        let base_clone = (cs.hits, cs.replayed, cs.saved);
 
         for policy in [Policy::BinPack, Policy::Spread] {
             let sc = Scenario {
@@ -644,7 +634,7 @@ fn placement_unit(scale: Scale) -> UnitSpec {
             };
             let res = run_scenario(&sc);
             assert_eq!(res.placed.len(), 4 * hosts, "placement arrivals lost");
-            absorb_hosts(&mut out, &res.hosts, &base, base_clone);
+            absorb_hosts(&mut out, &res.hosts, &base);
             let pl = policy.label();
             let mut imb = Series::new(format!("{pl}: imbalance"));
             let mut pool = Series::new(format!("{pl}: pool depth"));
@@ -691,7 +681,8 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         for _round in 0..16 {
             let mut doms = Vec::new();
             for k in 0..EVAC_NAMES {
-                let (dom, ..) = cloneboot::create_and_boot(&mut world, &format!("evac-{k}"), &img)
+                let (dom, ..) = world
+                    .create_and_boot(&format!("evac-{k}"), &img)
                     .expect("saturation create");
                 doms.push(dom);
             }
@@ -711,8 +702,6 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         assert_eq!(template.domid_limit(), limit, "saturation changed the domid plan");
         let baseline: WorldCensus = world.census();
         let base = UnitOutput::from_plane(&world);
-        let cs = &world.clone_stats;
-        let base_clone = (cs.hits, cs.replayed, cs.saved);
 
         let sc = Scenario {
             label: format!("cluster {label}"),
@@ -755,7 +744,7 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         assert_eq!(digest_drift, 0, "{label}: survivor digests drifted from template");
         assert_eq!(census_drift, 0, "{label}: survivor census drifted from template");
 
-        absorb_hosts(&mut out, &res.hosts, &base, base_clone);
+        absorb_hosts(&mut out, &res.hosts, &base);
         let mut lat = Series::new(format!("{label}: latency (ms)"));
         let cdf = Cdf::of(&res.evac).expect("evacuation latencies");
         for p in [50.0, 90.0, 99.0, 100.0] {

@@ -75,10 +75,12 @@ fn mode_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
                 cp.prewarm(&img);
                 let mut ok_times = Vec::new();
                 for k in 0..n {
-                    match cp.create_and_boot(&format!("{}-{k}", img.name), &img) {
-                        Ok((_, create, _)) => ok_times.push(create.as_millis_f64()),
-                        // Rolled back and recorded; the host keeps going.
-                        Err(_) => {}
+                    // A failed create is rolled back and recorded; the
+                    // host keeps going.
+                    if let Ok((_, create, _)) =
+                        cp.create_and_boot(&format!("{}-{k}", img.name), &img)
+                    {
+                        ok_times.push(create.as_millis_f64());
                     }
                 }
                 debug_assert_eq!(cp.create_failures() as usize, n - ok_times.len());

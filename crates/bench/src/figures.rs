@@ -78,14 +78,8 @@ pub struct UnitOutput {
     /// Snapshot forks the unit performed (worldcache resumes plus its
     /// own throwaway probe forks).
     pub snapshot_forks: u64,
-    /// create+boot sequences the worldcache saved the unit, plus
-    /// store-engine requests cloneboot's closed-form scans avoided.
+    /// create+boot sequences the worldcache saved the unit.
     pub boot_events_saved: u64,
-    /// Creates that found a cloneboot template during this unit's own
-    /// builds.
-    pub clone_boot_hits: u64,
-    /// Creates whose xl name scan was replayed in closed form.
-    pub boots_replayed: u64,
 }
 
 impl UnitOutput {
@@ -100,8 +94,6 @@ impl UnitOutput {
             snapshot_hits: 0,
             snapshot_forks: 0,
             boot_events_saved: 0,
-            clone_boot_hits: 0,
-            boots_replayed: 0,
         }
     }
 
@@ -121,8 +113,6 @@ impl UnitOutput {
             snapshot_hits: 0,
             snapshot_forks: 0,
             boot_events_saved: 0,
-            clone_boot_hits: 0,
-            boots_replayed: 0,
         }
     }
 
@@ -255,23 +245,12 @@ pub(crate) fn xeon() -> Machine {
 /// A create/boot density sweep as a unit: one mode × image × machine.
 fn sweep_unit(
     label: impl Into<String>,
-    machine: Machine,
-    dom0_cores: usize,
-    mode: ToolstackMode,
-    image: GuestImage,
+    spec: WorldSpec,
     n: usize,
-    seed: u64,
     series_of: impl Fn(&str, &[SweepPoint]) -> Vec<Series> + Send + 'static,
 ) -> UnitSpec {
     let label = label.into();
     let unit_label = label.clone();
-    let spec = WorldSpec {
-        machine,
-        dom0_cores,
-        mode,
-        image,
-        seed,
-    };
     let dep_spec = spec.clone();
     UnitSpec::new(unit_label, move || {
         let (info, records, stats) = worldcache::records_at(&spec, n);
@@ -375,12 +354,14 @@ fn fig04(scale: Scale) -> FigureSpec {
     ] {
         units.push(sweep_unit(
             label,
-            xeon(),
-            1,
-            ToolstackMode::Xl,
-            img,
+            WorldSpec {
+                machine: xeon(),
+                dom0_cores: 1,
+                mode: ToolstackMode::Xl,
+                image: img,
+                seed: 42,
+            },
             n,
-            42,
             |label, pts| {
                 vec![
                     series_ms(&format!("{label} Create"), pts, |p| p.create),
@@ -502,12 +483,14 @@ fn fig09(scale: Scale) -> FigureSpec {
     .map(|mode| {
         sweep_unit(
             mode.label(),
-            xeon(),
-            1,
-            mode,
-            GuestImage::unikernel_daytime(),
+            WorldSpec {
+                machine: xeon(),
+                dom0_cores: 1,
+                mode,
+                image: GuestImage::unikernel_daytime(),
+                seed: 42,
+            },
             n,
-            42,
             |label, pts| vec![series_ms(label, pts, |p| p.create)],
         )
     })
@@ -529,12 +512,14 @@ fn fig10(scale: Scale) -> FigureSpec {
     let machine_name = machine.name;
     let mut units = vec![sweep_unit(
         "LightVM",
-        machine.clone(),
-        4,
-        ToolstackMode::LightVm,
-        GuestImage::unikernel_noop(),
+        WorldSpec {
+            machine: machine.clone(),
+            dom0_cores: 4,
+            mode: ToolstackMode::LightVm,
+            image: GuestImage::unikernel_noop(),
+            seed: 42,
+        },
         n_vms,
-        42,
         |label, pts| vec![series_ms(label, pts, |p| p.create + p.boot)],
     )];
     units.push(UnitSpec::new("docker", move || {
@@ -582,22 +567,26 @@ fn fig11(scale: Scale) -> FigureSpec {
     let mut units = vec![
         sweep_unit(
             "Tinyx over LightVM",
-            xeon(),
-            1,
-            ToolstackMode::LightVm,
-            GuestImage::tinyx_noop(),
+            WorldSpec {
+                machine: xeon(),
+                dom0_cores: 1,
+                mode: ToolstackMode::LightVm,
+                image: GuestImage::tinyx_noop(),
+                seed: 42,
+            },
             n,
-            42,
             |label, pts| vec![series_ms(label, pts, |p| p.boot)],
         ),
         sweep_unit(
             "Unikernel over LightVM",
-            xeon(),
-            1,
-            ToolstackMode::LightVm,
-            GuestImage::unikernel_daytime(),
+            WorldSpec {
+                machine: xeon(),
+                dom0_cores: 1,
+                mode: ToolstackMode::LightVm,
+                image: GuestImage::unikernel_daytime(),
+                seed: 43,
+            },
             n,
-            43,
             |label, pts| vec![series_ms(label, pts, |p| p.boot)],
         ),
     ];

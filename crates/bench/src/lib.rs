@@ -57,7 +57,7 @@ pub fn density_steps(max: usize) -> Vec<usize> {
 /// (CPU utilisation is O(guests)) only at ladder points, so the rule
 /// must not depend on any particular sweep's target.
 pub fn on_density_ladder(n: usize) -> bool {
-    matches!(n, 1 | 2 | 5 | 10 | 20 | 35 | 50 | 75 | 100) || (n >= 150 && n % 50 == 0)
+    matches!(n, 1 | 2 | 5 | 10 | 20 | 35 | 50 | 75 | 100) || (n >= 150 && n.is_multiple_of(50))
 }
 
 /// Whether a quick (reduced-scale) run was requested.

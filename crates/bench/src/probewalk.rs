@@ -243,11 +243,10 @@ impl WalkBuilder {
     /// chain to `steps[i]` guests and deposits a probe fork. The fork
     /// is digest-identical to the inline path's `src.fork()` — the
     /// chain evolves by the same create/boot sequence under the same
-    /// canonical names. Returns the boots this rung spans plus how
-    /// many of the climb's creates replayed a cloneboot template.
-    pub(crate) fn build_rung(&self, i: usize) -> (u64, u64) {
+    /// canonical names. Returns the boots this rung spans.
+    pub(crate) fn build_rung(&self, i: usize) -> u64 {
         let n = self.steps[i];
-        let (cp, _records, stats) = worldcache::world_at(&self.spec, n);
+        let (cp, ..) = worldcache::world_at(&self.spec, n);
         // Cross-check the fork against the rung the chain published at
         // this density (DESIGN.md §6h): O(1) with warm hash caches, and
         // it pins "the fork is the world the records describe" on every
@@ -264,7 +263,7 @@ impl WalkBuilder {
         st.forks += 1;
         st.pending.insert(i, cp);
         let prev = if i == 0 { 0 } else { self.steps[i - 1] };
-        ((n - prev) as u64, stats.boots_replayed)
+        (n - prev) as u64
     }
 
     /// Probe-task body for rung `i`: consumes the deposited fork and

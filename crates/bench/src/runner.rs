@@ -64,7 +64,6 @@ pub fn run(specs: Vec<FigureSpec>, jobs: usize, quick: bool) -> (Vec<FigureRun>,
             start_ms: s.first.duration_since(started).as_secs_f64() * 1e3,
             end_ms: s.last.duration_since(started).as_secs_f64() * 1e3,
             events: s.shard_steps + s.messages,
-            boots_replayed: 0,
             allocs: 0,
             deps: Vec::new(),
         });
@@ -87,8 +86,7 @@ pub fn run(specs: Vec<FigureSpec>, jobs: usize, quick: bool) -> (Vec<FigureRun>,
                     out.snapshot_hits,
                     out.snapshot_forks,
                     out.boot_events_saved,
-                )
-                .with_clone_stats(out.clone_boot_hits, out.boots_replayed),
+                ),
         );
         outputs[fi].push(out);
     }

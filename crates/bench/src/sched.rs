@@ -34,6 +34,7 @@
 //! smaller than its dependent's), which keeps the rank computation and
 //! the report's critical-path scan a single reverse pass.
 
+use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::Instant;
@@ -53,17 +54,15 @@ const PROBE_THROTTLE: usize = 4;
 
 /// Longest climb a single chain task may perform; larger requested
 /// spans are split into evenly spaced intermediate rungs. 150 boots is
-/// ~15-35 ms of simulation post-cloneboot — big enough to amortise
-/// task overhead, small enough to pipeline behind consumers.
+/// ~15-35 ms of simulation — big enough to amortise task overhead,
+/// small enough to pipeline behind consumers.
 const MAX_CHAIN_SPAN: usize = 150;
 
-/// What a task does when it runs. Infra bodies return `(events,
-/// boots_replayed)` for the trace: an event count (boots climbed,
-/// probes run, requests simulated) plus how many of those creates
-/// replayed a cloneboot template (chain tasks; zero elsewhere).
+/// What a task does when it runs. Infra bodies return an event count
+/// for the trace: boots climbed, probes run, requests simulated.
 enum Body {
     Unit(Box<dyn FnOnce() -> UnitOutput + Send>),
-    Infra(Box<dyn FnOnce() -> (u64, u64) + Send>),
+    Infra(Box<dyn FnOnce() -> u64 + Send>),
 }
 
 struct Task {
@@ -118,8 +117,8 @@ impl Plan {
 }
 
 /// Rough per-boot simulation cost by toolstack, in milliseconds (from
-/// the committed perf baseline; xl's reflects template boots replaying
-/// the name scan). Drives chain-task cost estimates.
+/// the committed perf baseline; xl's reflects the closed-form name
+/// check, DESIGN.md §6k). Drives chain-task cost estimates.
 fn boot_cost_ms(mode: ToolstackMode) -> f64 {
     match mode.label() {
         "xl" => 0.10,
@@ -171,15 +170,15 @@ pub fn plan(specs: Vec<FigureSpec>) -> (Vec<FigureSpec>, Plan) {
                         }
                         Dep::Walk { mode, steps } => {
                             let key = (mode.label(), steps.clone());
-                            if !walk_of.contains_key(&key) {
-                                walk_of.insert(key, walks.len());
+                            if let Entry::Vacant(e) = walk_of.entry(key) {
+                                e.insert(walks.len());
                                 walks.push((*mode, steps.clone()));
                             }
                         }
                         Dep::Compute { cfg } => {
                             let key = format!("{cfg:?}");
-                            if !compute_of.contains_key(&key) {
-                                compute_of.insert(key, computes.len());
+                            if let Entry::Vacant(e) = compute_of.entry(key) {
+                                e.insert(computes.len());
                                 computes.push(cfg.clone());
                             }
                         }
@@ -207,8 +206,9 @@ pub fn plan(specs: Vec<FigureSpec>) -> (Vec<FigureSpec>, Plan) {
             // Split long climbs into evenly spaced intermediate rungs,
             // so one 1000-boot chain becomes several short tasks the
             // executor can start early and interleave with other work
-            // (template boots make the per-rung cost low enough for the
-            // extra task overhead to be noise). Byte-identical: the
+            // (a rung of up to MAX_CHAIN_SPAN boots runs for
+            // milliseconds, so the extra task overhead is noise).
+            // Byte-identical: the
             // chain still climbs through exactly the same creates, and
             // `advance` publishes observables at every ladder rung it
             // crosses regardless of task boundaries; consumers only
@@ -251,10 +251,7 @@ pub fn plan(specs: Vec<FigureSpec>) -> (Vec<FigureSpec>, Plan) {
                 deps: prev.into_iter().collect(),
                 cost: span as f64 * boot_cost_ms(req.spec.mode),
                 slot: None,
-                body: Body::Infra(Box::new(move || {
-                    let (boots, stats) = worldcache::build_to(&spec, rung);
-                    (boots, stats.boots_replayed)
-                })),
+                body: Body::Infra(Box::new(move || worldcache::build_to(&spec, rung))),
             });
             chain_task.insert((req.spec.key(), rung), id);
             prev = Some(id);
@@ -303,7 +300,7 @@ pub fn plan(specs: Vec<FigureSpec>) -> (Vec<FigureSpec>, Plan) {
                 deps,
                 cost: 2.0 + n as f64 * 0.02,
                 slot: None,
-                body: Body::Infra(Box::new(move || (b.probe_rung(i), 0))),
+                body: Body::Infra(Box::new(move || b.probe_rung(i))),
             });
             probe_ids.push(probe_id);
         }
@@ -330,7 +327,7 @@ pub fn plan(specs: Vec<FigureSpec>) -> (Vec<FigureSpec>, Plan) {
             slot: None,
             body: Body::Infra(Box::new(move || {
                 let (r, _) = worldcache::compute_cached(&body_cfg);
-                ((r.service_times.len() + r.concurrency.len()) as u64, 0)
+                (r.service_times.len() + r.concurrency.len()) as u64
             })),
         });
         compute_task.insert(format!("{cfg:?}"), id);
@@ -432,7 +429,7 @@ struct Ctx {
     cv: Condvar,
     bodies: Vec<Mutex<Option<Body>>>,
     #[allow(clippy::type_complexity)]
-    results: Vec<Mutex<Option<(f64, f64, usize, u64, u64, u64, Option<UnitOutput>)>>>,
+    results: Vec<Mutex<Option<(f64, f64, usize, u64, u64, Option<UnitOutput>)>>>,
     succs: Vec<Vec<usize>>,
     rank: Vec<f64>,
     started: Instant,
@@ -484,21 +481,18 @@ fn worker(ctx: &Ctx, thread: usize) {
         // its own execution, not the shared builds it reads.
         let a0 = crate::alloc::thread_allocs();
         let start_ms = ctx.started.elapsed().as_secs_f64() * 1e3;
-        let (events, boots_replayed, out) = match body {
+        let (events, out) = match body {
             Body::Unit(f) => {
                 let o = f();
-                (o.events, o.boots_replayed, Some(o))
+                (o.events, Some(o))
             }
-            Body::Infra(f) => {
-                let (events, replayed) = f();
-                (events, replayed, None)
-            }
+            Body::Infra(f) => (f(), None),
         };
         let end_ms = ctx.started.elapsed().as_secs_f64() * 1e3;
         let allocs = crate::alloc::thread_allocs() - a0;
         bail.armed = false;
         *ctx.results[id].lock().expect("result lock") =
-            Some((start_ms, end_ms, thread, events, boots_replayed, allocs, out));
+            Some((start_ms, end_ms, thread, events, allocs, out));
 
         let mut g = ctx.state.lock().expect("scheduler lock");
         g.done += 1;
@@ -593,7 +587,7 @@ pub(crate) fn execute(
     for (i, ((kind, label, figure, deps, slot), result)) in
         meta.into_iter().zip(ctx.results).enumerate()
     {
-        let (start_ms, end_ms, thread, events, boots_replayed, allocs, out) = result
+        let (start_ms, end_ms, thread, events, allocs, out) = result
             .into_inner()
             .expect("result lock")
             .expect("every task ran");
@@ -606,7 +600,6 @@ pub(crate) fn execute(
             start_ms,
             end_ms,
             events,
-            boots_replayed,
             allocs,
             deps: deps.into_iter().map(|d| d as u64).collect(),
         });

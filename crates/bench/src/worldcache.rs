@@ -139,12 +139,6 @@ pub struct CacheStats {
     pub forks: u64,
     /// create+boot sequences skipped thanks to cached prefixes.
     pub boots_saved: u64,
-    /// Creates that found a cloneboot template (this call's builds).
-    pub clone_hits: u64,
-    /// Creates whose name scan was replayed in closed form.
-    pub boots_replayed: u64,
-    /// Store-engine requests those replays avoided.
-    pub clone_saved: u64,
 }
 
 impl CacheStats {
@@ -152,9 +146,6 @@ impl CacheStats {
         self.hits += other.hits;
         self.forks += other.forks;
         self.boots_saved += other.boots_saved;
-        self.clone_hits += other.clone_hits;
-        self.boots_replayed += other.boots_replayed;
-        self.clone_saved += other.clone_saved;
     }
 }
 
@@ -299,18 +290,11 @@ fn advance(
     to: usize,
     records: &mut Vec<CreateRecord>,
     mut info: Option<&mut HashMap<usize, RungInfo>>,
-    stats: &mut CacheStats,
 ) {
-    // Attribution diffs the plane's own counters, not the process
-    // totals: totals move under parallel workers, the plane is ours.
-    let before = cp.clone_stats;
     for i in from..to {
-        // Creates route through the template-boot cache: first create
-        // of a shape records an exemplar, later ones replay the delta
-        // (closed-form xl name scan) at identical simulated charges.
-        let (report, boot) =
-            toolstack::cloneboot::create_and_boot_report(cp, &format!("{}-{i}", image.name), image)
-                .expect("world chain create+boot");
+        let (report, boot) = cp
+            .create_and_boot_report(&format!("{}-{i}", image.name), image)
+            .expect("world chain create+boot");
         note_boot();
         let done = i + 1;
         if i >= records.len() {
@@ -333,9 +317,6 @@ fn advance(
     if let Some(info) = info {
         info.entry(to).or_insert_with(|| RungInfo::capture(cp));
     }
-    stats.clone_hits += cp.clone_stats.hits - before.hits;
-    stats.boots_replayed += cp.clone_stats.replayed - before.replayed;
-    stats.clone_saved += cp.clone_stats.saved - before.saved;
 }
 
 /// Brings `spec`'s chain to at least `target` guests and hands the
@@ -351,7 +332,7 @@ fn with_world_at<T>(
     if !enabled() {
         let mut cp = spec.build_base();
         let mut records = Vec::new();
-        advance(&mut cp, &spec.image, 0, target, &mut records, None, &mut stats);
+        advance(&mut cp, &spec.image, 0, target, &mut records, None);
         let out = consume(&cp, &records);
         return (out, records, stats);
     }
@@ -379,7 +360,7 @@ fn with_world_at<T>(
             stats.boots_saved = *at as u64;
             note_reuse(*at as u64);
         }
-        advance(world, &spec.image, *at, target, records, Some(info), &mut stats);
+        advance(world, &spec.image, *at, target, records, Some(info));
         *at = target;
         consume(world, records)
     } else {
@@ -388,7 +369,7 @@ fn with_world_at<T>(
         // the consumers that want it.
         let published = info.get(&target).map(|r| r.digest);
         let mut cp = base.as_ref().expect("base set with tip").fork();
-        advance(&mut cp, &spec.image, 0, target, records, Some(info), &mut stats);
+        advance(&mut cp, &spec.image, 0, target, records, Some(info));
         // The rung was published when the chain first climbed past
         // `target`; a replay of the same prefix must land on the same
         // world. Cheap with warm hash caches, and it turns silent
@@ -425,15 +406,14 @@ pub fn world_at(spec: &WorldSpec, target: usize) -> (ControlPlane, Vec<CreateRec
 
 /// Chain-task entry point: advances `spec`'s chain tip in place to
 /// `target`, publishing records and rung observables on the way, and
-/// returns how many boots this call simulated plus the cache stats of
-/// the climb (clone-boot hits/replays, for the task trace). A tip
+/// returns how many boots this call simulated. A tip
 /// already at or past `target` makes this a no-op — the scheduler
 /// orders rung tasks so each one climbs exactly its own span. No-op
 /// when the cache is disabled (the planner emits no chain tasks then,
 /// but a stray call must not populate a cache the run has sworn off).
-pub fn build_to(spec: &WorldSpec, target: usize) -> (u64, CacheStats) {
+pub fn build_to(spec: &WorldSpec, target: usize) -> u64 {
     if !enabled() {
-        return (0, CacheStats::default());
+        return 0;
     }
     let chain = chain_for(spec.key());
     let mut chain = chain.lock().expect("worldcache chain lock");
@@ -453,17 +433,16 @@ pub fn build_to(spec: &WorldSpec, target: usize) -> (u64, CacheStats) {
     };
     if *at < target {
         let boots = (target - *at) as u64;
-        let mut stats = CacheStats::default();
-        advance(world, &spec.image, *at, target, records, Some(info), &mut stats);
+        advance(world, &spec.image, *at, target, records, Some(info));
         *at = target;
-        (boots, stats)
+        boots
     } else {
         // Ensure the rung is published even when a warm cache already
         // sits exactly at the target.
         if *at == target {
             info.entry(target).or_insert_with(|| RungInfo::capture(world));
         }
-        (0, CacheStats::default())
+        0
     }
 }
 
@@ -581,9 +560,7 @@ impl CacheStats {
     pub fn into_output(self, out: &mut crate::figures::UnitOutput) {
         out.snapshot_hits += self.hits;
         out.snapshot_forks += self.forks;
-        out.boot_events_saved += self.boots_saved + self.clone_saved;
-        out.clone_boot_hits += self.clone_hits;
-        out.boots_replayed += self.boots_replayed;
+        out.boot_events_saved += self.boots_saved;
     }
 }
 

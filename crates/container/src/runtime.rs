@@ -100,7 +100,7 @@ impl DockerRuntime {
         dt += SimTime::from_secs_f64(self.image.app_start_work);
         dt += cost.docker_daemon_per_container * self.count() as u64;
         // Daemon metadata reallocation spike at block boundaries.
-        if self.started_total > 0 && self.started_total % DAEMON_BLOCK == 0 {
+        if self.started_total > 0 && self.started_total.is_multiple_of(DAEMON_BLOCK) {
             let blocks = self.started_total / DAEMON_BLOCK;
             dt += SimTime::from_millis_f64(120.0) * blocks;
         }

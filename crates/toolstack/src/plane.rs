@@ -311,25 +311,7 @@ pub struct ControlPlane {
     booted_watches: u32,
     /// Whether the last `xl_name_check` took the closed-form path.
     pub(crate) last_scan_replayed: bool,
-    /// Store requests the last closed-form scan replayed (1 directory +
-    /// one read per numeric entry).
-    pub(crate) last_scan_saved: u64,
-    /// When present, create phases append `(tag, running meter total)`
-    /// breakpoints here (cloneboot exemplar recording).
-    pub(crate) phase_trace: Option<Vec<(&'static str, SimTime)>>,
-    /// Identity of this plane's interner ancestry: clones and snapshot
-    /// forks inherit it, fresh planes draw a new one. Part of the
-    /// cloneboot template key — a lineage pins mode, machine, Dom0
-    /// sizing and interned-symbol history at once.
-    pub(crate) lineage: u64,
-    /// Clone-boot counters for creates run *on this plane* (see
-    /// [`crate::cloneboot::CloneStats`]); callers diff them around
-    /// their builds for race-free per-task attribution.
-    pub clone_stats: crate::cloneboot::CloneStats,
 }
-
-/// Lineage ids for [`ControlPlane::new`]; 0 is never issued.
-static NEXT_LINEAGE: std::sync::atomic::AtomicU64 = std::sync::atomic::AtomicU64::new(1);
 
 impl ControlPlane {
     /// Creates a host: `dom0_cores` cores for Dom0, the rest for guests,
@@ -373,10 +355,6 @@ impl ControlPlane {
             dir_scratch: Vec::new(),
             booted_watches: 0,
             last_scan_replayed: false,
-            last_scan_saved: 0,
-            phase_trace: None,
-            lineage: NEXT_LINEAGE.fetch_add(1, std::sync::atomic::Ordering::Relaxed),
-            clone_stats: crate::cloneboot::CloneStats::default(),
             machine,
         }
         .finish_init()
@@ -520,7 +498,6 @@ impl ControlPlane {
             Category::Config,
             cost.config_parse_base + cost.config_parse_per_byte * config_len as u64,
         );
-        self.trace_phase("config", &meter);
 
         // Toolstack-internal state keeping.
         meter.charge(
@@ -530,7 +507,6 @@ impl ControlPlane {
                 _ => cost.chaos_internal,
             },
         );
-        self.trace_phase("internal", &meter);
 
         let created = if self.mode.uses_split() {
             match self.daemon.take(image.mem_mib, image.needs_net) {
@@ -551,7 +527,6 @@ impl ControlPlane {
                 return Err(e);
             }
         };
-        self.trace_phase("domain", &meter);
 
         // Image build: parse the kernel image and lay it out in memory;
         // Linux kernels (Tinyx/Debian) additionally pay decompression and
@@ -563,7 +538,6 @@ impl ControlPlane {
             load += cost.kernel_decompress_per_mib * mib;
         }
         meter.charge(Category::Load, load);
-        self.trace_phase("load", &meter);
 
         // Boot it last: the domain is left paused; `boot_vm` unpauses.
         let slow = self.dom0_slowdown();
@@ -605,7 +579,6 @@ impl ControlPlane {
         if self.mode.uses_split() {
             self.daemon_refill(image);
         }
-        self.trace_phase("finish", &meter);
         Ok(CreateReport { dom, meter, from_shell })
     }
 
@@ -866,7 +839,7 @@ impl ControlPlane {
         let summary = self.xs.store().local_domain_summary();
         self.last_scan_replayed = !summary.may_hold_name(name.as_bytes());
         if self.last_scan_replayed {
-            self.last_scan_saved = self.xs.replay_name_scan(cost, meter);
+            self.xs.replay_name_scan(cost, meter);
             return Ok(());
         }
         self.xl_name_scan(cost, meter, name)
@@ -907,13 +880,6 @@ impl ControlPlane {
             return Err(PlaneError::NameTaken(name.to_string()));
         }
         Ok(())
-    }
-
-    /// Appends a phase breakpoint to the active trace, if any.
-    pub(crate) fn trace_phase(&mut self, tag: &'static str, meter: &Meter) {
-        if let Some(trace) = &mut self.phase_trace {
-            trace.push((tag, meter.total()));
-        }
     }
 
     /// Writes the domain's registration records (name, memory, console,

@@ -136,7 +136,9 @@ enum Shape {
 /// stats and its log rotations agree exactly — including across log
 /// rotations, with guest creates in between. Every shape takes the
 /// closed form except those where the name is taken, whose hash hit
-/// falls back to the real scan.
+/// falls back to the real scan; once a foreign writer's copy of the
+/// name is removed, the closed form resumes and a create under that
+/// name succeeds.
 #[test]
 fn closed_form_name_check_matches_the_real_scan() {
     let img = GuestImage::unikernel_daytime();
@@ -228,6 +230,22 @@ fn closed_form_name_check_matches_the_real_scan() {
                 fast.create_and_boot(&name, &img).unwrap();
                 real.create_and_boot(&name, &img).unwrap();
             }
+        }
+        if let Shape::ForeignRewriteToRequested = shape {
+            let node = XsPath::parse(&format!("/local/domain/{guest}/name")).unwrap();
+            for w in [&mut fast, &mut real] {
+                w.xs.store_mut_for_tests().rm(0, &node).unwrap();
+            }
+            let (mut m_fast, mut m_real) = (Meter::new(), Meter::new());
+            assert_eq!(fast.xl_name_check(&cost, &mut m_fast, "rewritten"), Ok(()));
+            assert_eq!(real.xl_name_scan(&cost, &mut m_real, "rewritten"), Ok(()));
+            assert!(fast.last_scan_replayed, "{shape:?}: cleared name");
+            for cat in Category::ALL {
+                assert_eq!(m_fast.of(cat), m_real.of(cat), "{shape:?}: cleared {cat} charge");
+            }
+            assert_eq!(fast.xs.stats(), real.xs.stats(), "{shape:?}: cleared daemon stats");
+            fast.create_and_boot("rewritten", &img).unwrap();
+            real.create_and_boot("rewritten", &img).unwrap();
         }
         assert_eq!(fast.world_digest64(), real.world_digest64(), "{shape:?}: worlds");
         let store = fast.xs.store();

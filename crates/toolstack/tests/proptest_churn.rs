@@ -1,7 +1,8 @@
 //! Property tests of the churn invariants (DESIGN.md §6i): random
 //! seeded create/destroy interleavings — with and without fault
 //! injection — return the world to a byte-identical digest *and* an
-//! equal resource census whenever the populations match, the node
+//! equal resource census whenever the populations match (census only
+//! for chaos [XS+split], whose pooled shells are renumbered), the node
 //! arena's capacity plateaus at its peak occupancy, and domid
 //! recycling keeps the interned-symbol count bounded.
 //!
@@ -94,10 +95,15 @@ fn run_case(mode: ToolstackMode, seed: u64, events: usize, plan: FaultPlan) -> u
 
     let after_digest = cp.world_digest64();
     let after = cp.census();
-    assert_eq!(
-        before_digest, after_digest,
-        "{mode:?} seed {seed}: churn leaked world state"
-    );
+    // chaos [XS+split] keeps its pooled shells' event-channel and grant
+    // numbers in the store, and the refills after churn draw fresh ones:
+    // its occupancy round-trips, its bytes cannot.
+    if mode != ToolstackMode::ChaosXsSplit {
+        assert_eq!(
+            before_digest, after_digest,
+            "{mode:?} seed {seed}: churn leaked world state"
+        );
+    }
     assert!(
         after.same_occupancy(&before),
         "{mode:?} seed {seed}: census drifted at matching population: {:?}",
@@ -111,12 +117,13 @@ fn run_case(mode: ToolstackMode, seed: u64, events: usize, plan: FaultPlan) -> u
     after_digest
 }
 
-/// Fault-free churn round-trips in every representative mode.
+/// Fault-free churn round-trips in all five modes.
 #[test]
 fn churn_round_trips_without_faults() {
     for mode in [
         ToolstackMode::Xl,
         ToolstackMode::ChaosXs,
+        ToolstackMode::ChaosXsSplit,
         ToolstackMode::ChaosNoxs,
         ToolstackMode::LightVm,
     ] {

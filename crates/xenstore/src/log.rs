@@ -58,11 +58,6 @@ impl AccessLog {
         self.enabled = enabled;
     }
 
-    /// True if logging is on.
-    pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
     /// Records one access.
     pub fn append(&mut self) -> LogOutcome {
         if !self.enabled {

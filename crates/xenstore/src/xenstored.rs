@@ -167,18 +167,6 @@ impl Xenstored {
         self.log.set_enabled(enabled);
     }
 
-    /// True if the access log is recording (a cloneboot template-validity
-    /// input: batched log charges depend on it).
-    pub fn logging_enabled(&self) -> bool {
-        self.log.enabled()
-    }
-
-    /// The daemon flavor (cloneboot template-validity input: protocol
-    /// charges scale with it).
-    pub fn flavor(&self) -> Flavor {
-        self.flavor
-    }
-
     /// Rotations performed so far (spike provenance check).
     pub fn log_rotations(&self) -> u64 {
         self.log.rotations()
@@ -223,32 +211,10 @@ impl Xenstored {
     }
 
     /// `/local/domain/<domid>`, or `None` if that path was never
-    /// interned. The resolve variants never grow the interner — they
-    /// sit on cloneboot's per-replay content check, where probing for
-    /// dirs a mode never writes must stay free.
+    /// interned. Never grows the interner, so probing for a directory
+    /// that does not exist leaves no symbol behind.
     pub fn resolve_domain_dir_sym(&self, domid: u32) -> Option<XsSym> {
         self.store.resolve_child_u32_sym(self.local_domain_sym(), domid)
-    }
-
-    /// `/vm/<domid>` without interning (see
-    /// [`Xenstored::resolve_domain_dir_sym`]).
-    pub fn resolve_vm_dir_sym(&self, domid: u32) -> Option<XsSym> {
-        self.store.resolve_child_u32_sym(self.vm_root, domid)
-    }
-
-    /// `/local/domain/<backend>/backend/<kind>/<domid>` — the per-guest
-    /// backend directory covering all its devids (cloneboot's content
-    /// verification digests these subtrees) — without interning.
-    pub fn resolve_backend_domain_dir_sym(
-        &self,
-        backend: u32,
-        kind: &str,
-        domid: u32,
-    ) -> Option<XsSym> {
-        let dom = self.resolve_domain_dir_sym(backend)?;
-        let be = self.store.resolve_child_sym(dom, "backend")?;
-        let kind = self.store.resolve_child_sym(be, kind)?;
-        self.store.resolve_child_u32_sym(kind, domid)
     }
 
     /// Crashes the daemon and restarts it from its persisted state,
@@ -583,8 +549,8 @@ impl Xenstored {
     /// `n * per_request` equals the sum of `n` requests bit for bit
     /// (`replay_scan_matches_real_scan` pins it). Daemon stats and the
     /// access log advance as if the requests ran, so later rotation
-    /// spikes land on the same request. Returns the requests replayed.
-    pub fn replay_name_scan(&mut self, cost: &CostModel, meter: &mut Meter) -> u64 {
+    /// spikes land on the same request.
+    pub fn replay_name_scan(&mut self, cost: &CostModel, meter: &mut Meter) {
         // The real scan interns `<entry>/name` as it reads it. Guest
         // entries carry their `name` node, hence its symbol; Dom0's
         // directory does not, so intern its symbol here to keep the
@@ -616,7 +582,6 @@ impl Xenstored {
         dt += cost.xs_log_line * lines
             + (cost.xs_log_rotate_per_file * crate::log::NUM_LOG_FILES as u64) * rotations;
         meter.charge(Category::Xenstore, dt);
-        requests
     }
 
     /// Changes permissions on a node.
