@@ -1,8 +1,8 @@
 #!/usr/bin/env bash
-# CI gate: build everything, lint the store, toolstack, simulation
-# core, bench, metrics, container, hypervisor and guest crates with
-# clippy (warnings are errors), run the whole test suite (with a
-# suite-count guard so lost --workspace coverage fails loudly),
+# CI gate: build everything, lint the whole workspace, tests and
+# benches included, with clippy (warnings are errors), run the whole
+# test suite (with a suite-count guard so lost --workspace coverage
+# fails loudly),
 # smoke-run the hot-path microbenches, check the headline numbers
 # against results/headline.txt, then regenerate all figures at
 # quick scale through the DAG runner. Fails if any expected artefact is
@@ -22,9 +22,8 @@ cd "$(dirname "$0")"
 echo "== build (release, workspace) =="
 cargo build --release --workspace
 
-echo "== clippy (store, toolstack, simulation and bench crates; warnings are errors) =="
-cargo clippy --release --offline -p xenstore -p toolstack -p simcore \
-  -p bench -p metrics -p container -p hypervisor -p guests -- -D warnings
+echo "== clippy (whole workspace, all targets; warnings are errors) =="
+cargo clippy --release --offline --workspace --all-targets -- -D warnings
 
 echo "== tests (workspace) =="
 test_log="$(mktemp)"

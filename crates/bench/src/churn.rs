@@ -270,10 +270,7 @@ fn churn_unit(scale: Scale, mode: ToolstackMode, faulty: bool) -> UnitSpec {
         ];
         out
     })
-    .dep(Dep::Chain {
-        spec: dep_spec,
-        rung: base,
-    })
+    .dep(Dep::chain(dep_spec, base))
     .cost(cost)
 }
 

@@ -598,7 +598,7 @@ fn ladder_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         );
         out
     })
-    .dep(Dep::HostTemplate { spec: dep_spec, guests: density })
+    .dep(Dep::chain(dep_spec, density))
     .cost(cost)
 }
 
@@ -652,7 +652,7 @@ fn placement_unit(scale: Scale) -> UnitSpec {
         }
         out
     })
-    .dep(Dep::HostTemplate { spec: dep_spec, guests: density })
+    .dep(Dep::chain(dep_spec, density))
     .cost(120.0)
 }
 
@@ -762,7 +762,7 @@ fn evac_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         ];
         out
     })
-    .dep(Dep::HostTemplate { spec: dep_spec, guests: density })
+    .dep(Dep::chain(dep_spec, density))
     .cost(200.0)
 }
 

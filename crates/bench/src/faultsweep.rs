@@ -126,16 +126,16 @@ fn mode_unit(scale: Scale, mode: ToolstackMode) -> UnitSpec {
         out.series = vec![success, mean_ok];
         out
     })
-    .dep(Dep::Chain {
-        spec: WorldSpec {
+    .dep(Dep::chain(
+        WorldSpec {
             machine: machine(),
             dom0_cores: 1,
             mode,
             image: GuestImage::unikernel_daytime(),
             seed: 42,
         },
-        rung: n,
-    })
+        n,
+    ))
     .cost(cost)
 }
 

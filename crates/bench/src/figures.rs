@@ -8,6 +8,8 @@
 //! the figure in declared order, which makes the merged artefacts
 //! byte-identical regardless of scheduling.
 
+use std::sync::Arc;
+
 use container::{ContainerError, ContainerImage, DockerRuntime, ProcessRuntime, syscall_history};
 use guests::GuestImage;
 use lightvm::usecases::{firewall, jit, tls};
@@ -129,36 +131,48 @@ impl UnitOutput {
 
 /// A shared resource a unit consumes. Units declare these instead of
 /// lazily racing to build caches: the planner (`crate::sched`) turns
-/// each distinct dependency into exactly one producing task and gates
-/// the unit on it, so the expensive builds are scheduled explicitly —
+/// each distinct dependency into its producer tasks and gates the unit
+/// on them, so the expensive builds are scheduled explicitly —
 /// pipelined, critical-path first — and units run as pure readers.
 /// With the snapshot cache disabled no producer tasks exist and the
 /// unit bodies fall back to building inline, byte-identically.
 pub enum Dep {
     /// Rung `rung` of `spec`'s worldcache chain must be published.
-    Chain { spec: WorldSpec, rung: usize },
-    /// The memoized probe walk for (mode, steps) must be complete.
-    Walk { mode: ToolstackMode, steps: Vec<usize> },
-    /// The memoized overload simulation for `cfg` must have run.
-    Compute { cfg: ComputeConfig },
-    /// The cluster host template for `spec` at `guests` density: the
-    /// same chain rung as `Chain`, consumed via `HostTemplate::capture`
-    /// instead of a direct fork (the planner maps both to one producer).
-    HostTemplate { spec: WorldSpec, guests: usize },
+    Chain { spec: Box<WorldSpec>, rung: usize },
+    /// A [`worldcache::memoized`] entry must be filled. Built by
+    /// `probewalk::dep` and `worldcache::compute_dep`.
+    Memo(MemoDep),
+}
+
+/// A memoized value and how to produce it. Units declaring the same
+/// key share one producer task.
+pub struct MemoDep {
+    /// Memo key the unit body reads.
+    pub(crate) key: String,
+    /// Producer task kind in the trace (`"probe"`, `"compute"`).
+    pub(crate) kind: &'static str,
+    /// Producer task label.
+    pub(crate) label: String,
+    /// Estimated producer wall (ms) for critical-path ranking.
+    pub(crate) cost: f64,
+    /// Fills the memo entry; returns an event count for the trace.
+    pub(crate) produce: Arc<dyn Fn() -> u64 + Send + Sync>,
 }
 
 impl Dep {
+    /// Depends on rung `rung` of `spec`'s worldcache chain.
+    pub(crate) fn chain(spec: WorldSpec, rung: usize) -> Dep {
+        Dep::Chain {
+            spec: Box::new(spec),
+            rung,
+        }
+    }
+
     /// One-line rendering for `runall --list` and traces.
     pub fn describe(&self) -> String {
         match self {
             Dep::Chain { spec, rung } => format!("chain {}@{rung}", spec.label()),
-            Dep::Walk { mode, steps } => {
-                format!("walk {} ({} steps)", mode.label(), steps.len())
-            }
-            Dep::Compute { cfg } => format!("compute {}/{}", cfg.mode.label(), cfg.requests),
-            Dep::HostTemplate { spec, guests } => {
-                format!("host-template {}@{guests}", spec.label())
-            }
+            Dep::Memo(m) => m.label.clone(),
         }
     }
 }
@@ -274,7 +288,7 @@ fn sweep_unit(
         out.series = series_of(&label, &points);
         out
     })
-    .dep(Dep::Chain { spec: dep_spec, rung: n })
+    .dep(Dep::chain(dep_spec, n))
 }
 
 // ---------------------------------------------------------------------
@@ -465,7 +479,7 @@ fn fig05(scale: Scale) -> FigureSpec {
             out.series = series;
             out
             })
-            .dep(Dep::Chain { spec: dep_spec, rung: n })
+            .dep(Dep::chain(dep_spec, n))
         }],
     }
 }
@@ -617,10 +631,7 @@ fn fig11(scale: Scale) -> FigureSpec {
 
 /// One mode of the Figure 12 checkpoint/restore sweep.
 fn checkpoint_unit(mode: ToolstackMode, plot_save: bool, steps: Vec<usize>) -> UnitSpec {
-    let dep = Dep::Walk {
-        mode,
-        steps: steps.clone(),
-    };
+    let dep = crate::probewalk::dep(mode, &steps);
     UnitSpec::new(mode.label(), move || {
         // One shared probe walk serves fig12a, fig12b and fig13: the
         // destructive save/restore probes run on throwaway forks at
@@ -682,10 +693,7 @@ fn fig13(scale: Scale) -> FigureSpec {
     .into_iter()
     .map(|mode| {
         let steps = steps.clone();
-        let dep = Dep::Walk {
-            mode,
-            steps: steps.clone(),
-        };
+        let dep = crate::probewalk::dep(mode, &steps);
         UnitSpec::new(mode.label(), move || {
             // Migration mutates the source (the migrated VM leaves it),
             // so the shared probe walk migrates out of throwaway forks
@@ -824,7 +832,7 @@ fn fig15(scale: Scale) -> FigureSpec {
                 out.series = vec![s];
                 out
             })
-            .dep(Dep::Chain { spec: dep_spec, rung: n }),
+            .dep(Dep::chain(dep_spec, n)),
         );
     }
     {
@@ -972,7 +980,7 @@ fn fig17(scale: Scale) -> FigureSpec {
         .map(|(mode, seed)| {
             let mut cfg = ComputeConfig::paper(mode, seed);
             cfg.requests = n;
-            let dep_cfg = cfg.clone();
+            let dep = worldcache::compute_dep(&cfg);
             UnitSpec::new(mode.label(), move || {
                 // fig18 runs the identical overload simulation.
                 let (r, stats) = worldcache::compute_cached(&cfg);
@@ -999,7 +1007,7 @@ fn fig17(scale: Scale) -> FigureSpec {
                     .sum();
                 out
             })
-            .dep(Dep::Compute { cfg: dep_cfg })
+            .dep(dep)
         })
         .collect();
     FigureSpec {
@@ -1020,7 +1028,7 @@ fn fig18(scale: Scale) -> FigureSpec {
         .map(|(mode, seed)| {
             let mut cfg = ComputeConfig::paper(mode, seed);
             cfg.requests = n;
-            let dep_cfg = cfg.clone();
+            let dep = worldcache::compute_dep(&cfg);
             UnitSpec::new(mode.label(), move || {
                 // fig17 runs the identical overload simulation.
                 let (r, stats) = worldcache::compute_cached(&cfg);
@@ -1035,7 +1043,7 @@ fn fig18(scale: Scale) -> FigureSpec {
                 out.events = r.concurrency.len() as u64;
                 out
             })
-            .dep(Dep::Compute { cfg: dep_cfg })
+            .dep(dep)
         })
         .collect();
     FigureSpec {

@@ -1,27 +1,29 @@
 //! Dependency-aware DAG scheduler for the figure runner.
 //!
-//! PR 5 made most figure units cheap *readers* of shared state — a
-//! worldcache chain prefix, a memoized probe walk, a memoized compute
-//! run — with the expensive builds happening lazily inside whichever
-//! unit arrived first. That was correct (everything is deterministic)
-//! but scheduled badly: the flat work queue had no idea one unit was
-//! about to simulate 8000 boots while ten others would block on it.
+//! Most figure units are cheap *readers* of shared state — a worldcache
+//! chain prefix, a memoized probe walk, a memoized compute run. Built
+//! lazily inside whichever unit arrived first, that state would be
+//! correct (everything is deterministic) but badly scheduled: one unit
+//! would simulate 8000 boots while ten others blocked on it.
 //!
-//! The planner here makes the builds explicit. Every distinct resource
-//! a unit declares (see [`Dep`]) becomes exactly one producing task:
+//! The planner makes the builds explicit. Every distinct resource a
+//! unit declares (see [`Dep`]) becomes its producer tasks, and there
+//! are exactly two producer shapes:
 //!
 //! * **chain** tasks climb a worldcache chain rung by requested rung
-//!   ([`worldcache::build_to`]), publishing records and rung
-//!   observables as they pass;
-//! * **probe** tasks run a walk's destructive probes against the fork
-//!   its chain task deposited ([`probewalk::WalkBuilder`]); probes
-//!   chain on each other (sequential RNG/destination state) but
-//!   pipeline behind the chain build, throttled so at most
-//!   [`PROBE_THROTTLE`] dense forks are ever live at once — the
-//!   memory lesson of the early per-rung snapshot cache;
-//! * **compute** tasks run the memoized overload simulation;
-//! * **unit** tasks are the figure units themselves, gated on their
-//!   declared producers and otherwise free to run anywhere.
+//!   ([`worldcache::build_to`]), split so that no task climbs more than
+//!   [`MAX_CHAIN_SPAN`] boots, publishing records and rung observables
+//!   as they pass;
+//! * **memo** tasks, one per distinct memo key, run the producer body
+//!   the dep carries and fill the [`worldcache::memoized`] entry its
+//!   readers hit; their trace kind comes from the dep (`"probe"` for
+//!   probe walks, `"compute"` for overload runs);
+//!
+//! and **unit** tasks are the figure units themselves, gated on their
+//! declared producers and otherwise free to run anywhere. The plan is
+//! a pure function of the specs (and the cache enable flag): a warm
+//! in-process re-run plans the same graph, and its producers find the
+//! work already done.
 //!
 //! Execution is critical-path first: each task's rank is its cost plus
 //! the heaviest downstream chain, and the ready heap pops the highest
@@ -36,21 +38,13 @@
 
 use std::collections::hash_map::Entry;
 use std::collections::{BinaryHeap, HashMap};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{Condvar, Mutex};
 use std::time::Instant;
 
 use metrics::TaskPerf;
-use toolstack::ToolstackMode;
 
 use crate::figures::{Dep, FigureSpec, UnitOutput};
-use crate::probewalk::{self, WalkBuilder};
 use crate::worldcache::{self, WorldSpec};
-
-/// Maximum probe forks a walk may have deposited-but-unprobed: chain
-/// rung `i` waits for probe `i - PROBE_THROTTLE`. Keeps the pipeline
-/// deep enough to hide probe latency without holding many megabyte
-/// dense-world forks live.
-const PROBE_THROTTLE: usize = 4;
 
 /// Longest climb a single chain task may perform; larger requested
 /// spans are split into evenly spaced intermediate rungs. 150 boots is
@@ -116,221 +110,96 @@ impl Plan {
     }
 }
 
-/// Rough per-boot simulation cost by toolstack, in milliseconds (from
-/// the committed perf baseline; xl's reflects the closed-form name
-/// check, DESIGN.md §6k). Drives chain-task cost estimates.
-fn boot_cost_ms(mode: ToolstackMode) -> f64 {
-    match mode.label() {
-        "xl" => 0.10,
-        "chaos [XS]" | "chaos [XS+split]" => 0.08,
-        "chaos [NoXS]" => 0.02,
-        _ => 0.03,
-    }
-}
-
 /// Builds the task graph for `specs`. Returns the figure heads
 /// (stripped of units, for merging) and the plan.
 ///
-/// With the snapshot cache disabled no infrastructure tasks are
-/// emitted and units carry no dependencies: each unit body falls back
-/// to building what it needs inline, byte-identically — the planner
-/// only ever changes *when* work happens, never *what* runs.
-/// Resources that are already cached in-process (warm repeated runs)
-/// are likewise skipped; their consumers read the cache directly.
+/// With the snapshot cache disabled no producer tasks are emitted and
+/// units carry no dependencies: each unit body falls back to building
+/// what it needs inline, byte-identically — the planner only ever
+/// changes *when* work happens, never *what* runs.
 pub fn plan(specs: Vec<FigureSpec>) -> (Vec<FigureSpec>, Plan) {
-    let enabled = worldcache::enabled();
     let mut tasks: Vec<Task> = Vec::new();
 
-    // ---- collect distinct resources, in first-encounter order ----
-    struct ChainReq {
-        spec: WorldSpec,
-        rungs: Vec<usize>,
-    }
-    let mut chains: Vec<ChainReq> = Vec::new();
+    // ---- collect distinct resources, in first-encounter order; memo
+    // producers have no dependencies, so they are emitted right away ----
+    let mut chains: Vec<(WorldSpec, Vec<usize>)> = Vec::new();
     let mut chain_of: HashMap<worldcache::Key, usize> = HashMap::new();
-    let mut walks: Vec<(ToolstackMode, Vec<usize>)> = Vec::new();
-    let mut walk_of: HashMap<(&'static str, Vec<usize>), usize> = HashMap::new();
-    let mut computes: Vec<lightvm::usecases::compute::ComputeConfig> = Vec::new();
-    let mut compute_of: HashMap<String, usize> = HashMap::new();
-
-    if enabled {
-        for spec in &specs {
-            for unit in &spec.units {
-                for dep in &unit.deps {
-                    match dep {
-                        Dep::Chain { spec: ws, rung } => {
-                            let idx = *chain_of.entry(ws.key()).or_insert_with(|| {
-                                chains.push(ChainReq {
-                                    spec: ws.clone(),
-                                    rungs: Vec::new(),
-                                });
-                                chains.len() - 1
-                            });
-                            chains[idx].rungs.push(*rung);
-                        }
-                        Dep::Walk { mode, steps } => {
-                            let key = (mode.label(), steps.clone());
-                            if let Entry::Vacant(e) = walk_of.entry(key) {
-                                e.insert(walks.len());
-                                walks.push((*mode, steps.clone()));
-                            }
-                        }
-                        Dep::Compute { cfg } => {
-                            let key = format!("{cfg:?}");
-                            if let Entry::Vacant(e) = compute_of.entry(key) {
-                                e.insert(computes.len());
-                                computes.push(cfg.clone());
-                            }
-                        }
-                        // A host template is the chain rung at the
-                        // template's density — same producer, consumed
-                        // through HostTemplate::capture instead of a
-                        // direct fork.
-                        Dep::HostTemplate { spec: ws, guests } => {
-                            let idx = *chain_of.entry(ws.key()).or_insert_with(|| {
-                                chains.push(ChainReq {
-                                    spec: ws.clone(),
-                                    rungs: Vec::new(),
-                                });
-                                chains.len() - 1
-                            });
-                            chains[idx].rungs.push(*guests);
-                        }
+    let mut memo_task: HashMap<String, usize> = HashMap::new();
+    if worldcache::enabled() {
+        for dep in specs.iter().flat_map(|s| &s.units).flat_map(|u| &u.deps) {
+            match dep {
+                Dep::Chain { spec, rung } => {
+                    let idx = *chain_of.entry(spec.key()).or_insert_with(|| {
+                        chains.push((WorldSpec::clone(spec), Vec::new()));
+                        chains.len() - 1
+                    });
+                    chains[idx].1.push(*rung);
+                }
+                Dep::Memo(m) => {
+                    if let Entry::Vacant(e) = memo_task.entry(m.key.clone()) {
+                        e.insert(tasks.len());
+                        let produce = m.produce.clone();
+                        tasks.push(Task {
+                            kind: m.kind,
+                            label: m.label.clone(),
+                            figure: String::new(),
+                            deps: Vec::new(),
+                            cost: m.cost,
+                            slot: None,
+                            body: Body::Infra(Box::new(move || produce())),
+                        });
                     }
                 }
             }
-        }
-        for c in &mut chains {
-            c.rungs.sort_unstable();
-            c.rungs.dedup();
-            // Split long climbs into evenly spaced intermediate rungs,
-            // so one 1000-boot chain becomes several short tasks the
-            // executor can start early and interleave with other work
-            // (a rung of up to MAX_CHAIN_SPAN boots runs for
-            // milliseconds, so the extra task overhead is noise).
-            // Byte-identical: the
-            // chain still climbs through exactly the same creates, and
-            // `advance` publishes observables at every ladder rung it
-            // crosses regardless of task boundaries; consumers only
-            // ever read the rungs they declared, which are all kept.
-            let mut split = Vec::with_capacity(c.rungs.len());
-            let mut prev = 0usize;
-            for &rung in &c.rungs {
-                let span = rung - prev;
-                if span > MAX_CHAIN_SPAN {
-                    let pieces = span.div_ceil(MAX_CHAIN_SPAN);
-                    for p in 1..pieces {
-                        split.push(prev + span * p / pieces);
-                    }
-                }
-                split.push(rung);
-                prev = rung;
-            }
-            c.rungs = split;
         }
     }
 
-    // ---- emit producer tasks (ids are topological: deps come first) ----
+    // ---- chain tasks, one per rung (ids are topological: each rung
+    // depends on the previous one) ----
     let mut chain_task: HashMap<(worldcache::Key, usize), usize> = HashMap::new();
-    for req in &chains {
+    for (spec, mut rungs) in chains {
+        rungs.sort_unstable();
+        rungs.dedup();
+        // Split long climbs into evenly spaced intermediate rungs, so
+        // one 1000-boot chain becomes several short tasks the executor
+        // can start early and interleave with other work. Byte-
+        // identical: the chain still climbs through exactly the same
+        // creates, and `advance` publishes observables at every ladder
+        // rung it crosses regardless of task boundaries; consumers only
+        // ever read the rungs they declared, which are all kept.
+        let mut split = Vec::with_capacity(rungs.len());
+        let mut prev = 0usize;
+        for rung in rungs {
+            let span = rung - prev;
+            if span > MAX_CHAIN_SPAN {
+                let pieces = span.div_ceil(MAX_CHAIN_SPAN);
+                for p in 1..pieces {
+                    split.push(prev + span * p / pieces);
+                }
+            }
+            split.push(rung);
+            prev = rung;
+        }
+
         let mut prev: Option<usize> = None;
         let mut prev_rung = 0usize;
-        for &rung in &req.rungs {
-            if worldcache::rung_published(&req.spec, rung) {
-                // Warm from an earlier in-process run: readers serve
-                // straight from the chain, no task needed.
-                continue;
-            }
+        for rung in split {
             let id = tasks.len();
             let span = rung - prev_rung;
-            let spec = req.spec.clone();
+            let body_spec = spec.clone();
             tasks.push(Task {
                 kind: "chain",
-                label: format!("chain {}@{rung}", req.spec.label()),
+                label: format!("chain {}@{rung}", spec.label()),
                 figure: String::new(),
                 deps: prev.into_iter().collect(),
-                cost: span as f64 * boot_cost_ms(req.spec.mode),
+                cost: span as f64 * worldcache::boot_cost_ms(spec.mode),
                 slot: None,
-                body: Body::Infra(Box::new(move || worldcache::build_to(&spec, rung))),
+                body: Body::Infra(Box::new(move || worldcache::build_to(&body_spec, rung))),
             });
-            chain_task.insert((req.spec.key(), rung), id);
+            chain_task.insert((spec.key(), rung), id);
             prev = Some(id);
             prev_rung = rung;
         }
-    }
-
-    let mut walk_task: HashMap<(&'static str, Vec<usize>), usize> = HashMap::new();
-    for (mode, steps) in &walks {
-        if probewalk::is_cached(*mode, steps) {
-            continue;
-        }
-        let builder = WalkBuilder::new(*mode, steps);
-        let chain_label = probewalk::chain_spec(*mode).label();
-        let mut prev_build: Option<usize> = None;
-        let mut probe_ids: Vec<usize> = Vec::new();
-        for (i, &n) in steps.iter().enumerate() {
-            let build_id = tasks.len();
-            let mut deps: Vec<usize> = prev_build.into_iter().collect();
-            if i >= PROBE_THROTTLE {
-                deps.push(probe_ids[i - PROBE_THROTTLE]);
-            }
-            let span = n - if i == 0 { 0 } else { steps[i - 1] };
-            let b = Arc::clone(&builder);
-            tasks.push(Task {
-                kind: "chain",
-                label: format!("chain {chain_label}@{n}"),
-                figure: String::new(),
-                deps,
-                cost: span as f64 * boot_cost_ms(*mode),
-                slot: None,
-                body: Body::Infra(Box::new(move || b.build_rung(i))),
-            });
-            prev_build = Some(build_id);
-
-            let probe_id = tasks.len();
-            let mut deps = vec![build_id];
-            if i > 0 {
-                deps.push(probe_ids[i - 1]);
-            }
-            let b = Arc::clone(&builder);
-            tasks.push(Task {
-                kind: "probe",
-                label: format!("probe {}@{n}", mode.label()),
-                figure: String::new(),
-                deps,
-                cost: 2.0 + n as f64 * 0.02,
-                slot: None,
-                body: Body::Infra(Box::new(move || b.probe_rung(i))),
-            });
-            probe_ids.push(probe_id);
-        }
-        // The walk is complete when its last probe publishes the memo.
-        walk_task.insert(
-            (mode.label(), steps.clone()),
-            *probe_ids.last().expect("walk has steps"),
-        );
-    }
-
-    let mut compute_task: HashMap<String, usize> = HashMap::new();
-    for cfg in &computes {
-        if worldcache::compute_is_cached(cfg) {
-            continue;
-        }
-        let id = tasks.len();
-        let body_cfg = cfg.clone();
-        tasks.push(Task {
-            kind: "compute",
-            label: format!("compute {}/{}", cfg.mode.label(), cfg.requests),
-            figure: String::new(),
-            deps: Vec::new(),
-            cost: 120.0,
-            slot: None,
-            body: Body::Infra(Box::new(move || {
-                let (r, _) = worldcache::compute_cached(&body_cfg);
-                (r.service_times.len() + r.concurrency.len()) as u64
-            })),
-        });
-        compute_task.insert(format!("{cfg:?}"), id);
     }
 
     // ---- unit tasks, in declared (figure, unit) order ----
@@ -340,20 +209,12 @@ pub fn plan(specs: Vec<FigureSpec>) -> (Vec<FigureSpec>, Plan) {
             let mut deps: Vec<usize> = Vec::new();
             for dep in &unit.deps {
                 let producer = match dep {
-                    Dep::Chain { spec: ws, rung } => {
-                        chain_task.get(&(ws.key(), *rung)).copied()
-                    }
-                    Dep::Walk { mode, steps } => {
-                        walk_task.get(&(mode.label(), steps.clone())).copied()
-                    }
-                    Dep::Compute { cfg } => compute_task.get(&format!("{cfg:?}")).copied(),
-                    Dep::HostTemplate { spec: ws, guests } => {
-                        chain_task.get(&(ws.key(), *guests)).copied()
-                    }
+                    Dep::Chain { spec: ws, rung } => chain_task.get(&(ws.key(), *rung)),
+                    Dep::Memo(m) => memo_task.get(&m.key),
                 };
-                // A missing producer means the resource is already
-                // cached (or the cache is disabled): nothing to wait on.
-                if let Some(p) = producer {
+                // A missing producer means the cache is disabled:
+                // nothing to wait on.
+                if let Some(&p) = producer {
                     deps.push(p);
                 }
             }

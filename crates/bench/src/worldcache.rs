@@ -39,16 +39,27 @@
 //! then a per-chain mutex for the build/fork. Units that need the same
 //! chain serialize (the second reuses the first's work — the point of
 //! the cache); units on different chains proceed in parallel.
+//!
+//! Values that are computed whole rather than climbed rung by rung —
+//! the probe walks of [`crate::probewalk`] and the overload simulation
+//! behind [`compute_cached`] — live in one keyed memo, [`memoized`].
+//! Chains and the memo are the whole world-reuse stack: the scheduler
+//! (`crate::sched`) turns chain rungs into rung-split chain tasks and
+//! each memo key into one producer task.
 
+use std::any::Any;
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use guests::GuestImage;
+use lightvm::usecases::compute::{self, ComputeConfig, ComputeResult};
 use simcore::{Machine, Meter, SimTime};
 use toolstack::snapshot::Snapshot;
 use toolstack::{ControlPlane, ToolstackMode};
+
+use crate::figures::{Dep, MemoDep};
 
 /// Everything a cached world's evolution depends on.
 #[derive(Clone)]
@@ -222,18 +233,8 @@ pub fn enabled() -> bool {
     ENABLED.load(Ordering::SeqCst)
 }
 
-/// Drops every cached chain and zeroes the counters (microbenches).
-pub fn clear() {
-    if let Some(m) = CACHE.get() {
-        m.lock().expect("worldcache map lock").clear();
-    }
-    for c in [&HITS, &FORKS, &BOOTS_SAVED, &BOOTS_SIMULATED] {
-        c.store(0, Ordering::SeqCst);
-    }
-}
-
-/// Counts `n` boots skipped by a cache reuse outside `world_at` (the
-/// probe-walk memo in [`crate::probewalk`]).
+/// Counts `n` boots skipped by a cache reuse outside `world_at` (a
+/// probe walk served from the memo).
 pub(crate) fn note_reuse(boots_saved: u64) {
     HITS.fetch_add(1, Ordering::Relaxed);
     BOOTS_SAVED.fetch_add(boots_saved, Ordering::Relaxed);
@@ -242,6 +243,18 @@ pub(crate) fn note_reuse(boots_saved: u64) {
 /// Counts a simulated create+boot (chain builds and probe walks).
 pub(crate) fn note_boot() {
     BOOTS_SIMULATED.fetch_add(1, Ordering::Relaxed);
+}
+
+/// Rough per-boot simulation cost by toolstack, in milliseconds (from
+/// the committed perf baseline; xl's reflects the closed-form name
+/// check, DESIGN.md §6k). Drives producer-task cost estimates.
+pub(crate) fn boot_cost_ms(mode: ToolstackMode) -> f64 {
+    match mode.label() {
+        "xl" => 0.10,
+        "chaos [XS]" | "chaos [XS+split]" => 0.08,
+        "chaos [NoXS]" => 0.02,
+        _ => 0.03,
+    }
 }
 
 /// Counts a world fork served to a consumer.
@@ -446,44 +459,6 @@ pub fn build_to(spec: &WorldSpec, target: usize) -> u64 {
     }
 }
 
-/// Whether `spec`'s chain already has `target` records and the rung
-/// observables for `target` published, i.e. a [`records_at`] reader
-/// would be served without touching the live world. The planner skips
-/// emitting chain tasks for rungs that are already warm from an
-/// earlier in-process run. Never creates a chain entry.
-pub fn rung_published(spec: &WorldSpec, target: usize) -> bool {
-    if !enabled() {
-        return false;
-    }
-    let Some(map) = CACHE.get() else {
-        return false;
-    };
-    let Some(chain) = map
-        .lock()
-        .expect("worldcache map lock")
-        .get(&spec.key())
-        .map(Arc::clone)
-    else {
-        return false;
-    };
-    let chain = chain.lock().expect("worldcache chain lock");
-    chain.records.len() >= target && chain.info.contains_key(&target)
-}
-
-/// The fast at-rest digest published for `spec`'s chain at `target`,
-/// if any. Pure read (never creates a chain entry); the probe walk
-/// cross-checks each deposited fork against it.
-pub fn published_digest(spec: &WorldSpec, target: usize) -> Option<u128> {
-    let chain = CACHE
-        .get()?
-        .lock()
-        .expect("worldcache map lock")
-        .get(&spec.key())
-        .map(Arc::clone)?;
-    let chain = chain.lock().expect("worldcache chain lock");
-    chain.info.get(&target).map(|r| r.digest)
-}
-
 /// Like [`world_at`], but returns only the per-create records plus the
 /// rung observables ([`RungInfo`]) at `target` — no fork, and, when a
 /// chain task already published the rung, no contact with the live
@@ -514,45 +489,73 @@ pub fn records_at(spec: &WorldSpec, target: usize) -> (RungInfo, Vec<CreateRecor
     with_world_at(spec, target, |world, _| RungInfo::capture(world))
 }
 
-static COMPUTE_MEMO: OnceLock<Mutex<HashMap<String, lightvm::usecases::compute::ComputeResult>>> =
-    OnceLock::new();
+/// A memo cell: filled once, by whichever caller arrives first.
+type MemoCell = Arc<OnceLock<Arc<dyn Any + Send + Sync>>>;
 
-/// Memoizes `compute::run` for the figures that share a config
-/// (fig17 and fig18 run the identical overload simulation). Same
-/// enable flag as the world cache; a miss runs the simulation inline.
-pub fn compute_cached(
-    cfg: &lightvm::usecases::compute::ComputeConfig,
-) -> (lightvm::usecases::compute::ComputeResult, CacheStats) {
-    use lightvm::usecases::compute;
+static MEMO: OnceLock<Mutex<HashMap<String, MemoCell>>> = OnceLock::new();
+
+/// Returns the value memoized under `key`, running `make` to fill it on
+/// the first request, plus whether this call ran `make`. The map lock
+/// only guards the cell lookup, never the computation: producers for
+/// different keys run concurrently, while a second caller for an
+/// in-flight key blocks on that key's cell until the value is ready
+/// (and then shares it, which is the point of the memo). With the cache
+/// disabled every call runs `make` afresh, so the uncached path is the
+/// same code minus the sharing. Keys carry a prefix naming their value
+/// type (`walk …`, `compute …`); reusing a key for another type panics.
+pub(crate) fn memoized<V: Any + Send + Sync>(
+    key: &str,
+    make: impl FnOnce() -> V,
+) -> (Arc<V>, bool) {
     if !enabled() {
-        return (compute::run(cfg), CacheStats::default());
+        return (Arc::new(make()), true);
     }
-    let key = format!("{:?}", cfg);
-    let memo = COMPUTE_MEMO.get_or_init(|| Mutex::new(HashMap::new()));
-    let mut memo = memo.lock().expect("compute memo lock");
-    if let Some(hit) = memo.get(&key) {
-        HITS.fetch_add(1, Ordering::Relaxed);
-        return (
-            hit.clone(),
-            CacheStats {
-                hits: 1,
-                ..CacheStats::default()
-            },
-        );
-    }
-    let r = compute::run(cfg);
-    memo.insert(key, r.clone());
-    (r, CacheStats::default())
+    let cell = {
+        let map = MEMO.get_or_init(|| Mutex::new(HashMap::new()));
+        let mut map = map.lock().expect("memo map lock");
+        Arc::clone(map.entry(key.to_string()).or_default())
+    };
+    let mut ran = false;
+    let value = cell.get_or_init(|| {
+        ran = true;
+        Arc::new(make())
+    });
+    let value = Arc::clone(value)
+        .downcast::<V>()
+        .expect("memo key reused for a different value type");
+    (value, ran)
 }
 
-/// Whether a compute run for `cfg` is already memoized — the planner
-/// skips emitting a compute task for it (a warm cache across repeated
-/// in-process runs).
-pub fn compute_is_cached(cfg: &lightvm::usecases::compute::ComputeConfig) -> bool {
-    enabled()
-        && COMPUTE_MEMO
-            .get()
-            .is_some_and(|m| m.lock().expect("compute memo lock").contains_key(&format!("{:?}", cfg)))
+fn compute_key(cfg: &ComputeConfig) -> String {
+    format!("compute {cfg:?}")
+}
+
+/// Memoizes `compute::run` for the figures that share a config
+/// (fig17 and fig18 run the identical overload simulation).
+pub fn compute_cached(cfg: &ComputeConfig) -> (Arc<ComputeResult>, CacheStats) {
+    let (r, ran) = memoized(&compute_key(cfg), || compute::run(cfg));
+    let mut stats = CacheStats::default();
+    if !ran {
+        HITS.fetch_add(1, Ordering::Relaxed);
+        stats.hits = 1;
+    }
+    (r, stats)
+}
+
+/// The dependency a [`compute_cached`] reader declares: one `"compute"`
+/// producer task per distinct config fills the memo.
+pub(crate) fn compute_dep(cfg: &ComputeConfig) -> Dep {
+    let cfg = cfg.clone();
+    Dep::Memo(MemoDep {
+        key: compute_key(&cfg),
+        kind: "compute",
+        label: format!("compute {}/{}", cfg.mode.label(), cfg.requests),
+        cost: 120.0,
+        produce: Arc::new(move || {
+            let (r, _) = compute_cached(&cfg);
+            (r.service_times.len() + r.concurrency.len()) as u64
+        }),
+    })
 }
 
 impl CacheStats {
@@ -568,5 +571,59 @@ impl CacheStats {
 impl std::ops::AddAssign for CacheStats {
     fn add_assign(&mut self, other: CacheStats) {
         self.absorb(other);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::{AtomicUsize, Ordering};
+    use std::sync::{mpsc, Arc, Barrier};
+    use std::time::Duration;
+
+    use super::memoized;
+
+    #[test]
+    fn memo_runs_the_producer_once_per_key() {
+        let runs = AtomicUsize::new(0);
+        let start = Barrier::new(2);
+        let ask = || {
+            start.wait();
+            memoized("test same-key", || {
+                runs.fetch_add(1, Ordering::SeqCst);
+                7u64
+            })
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(ask);
+            let b = s.spawn(ask);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(runs.load(Ordering::SeqCst), 1);
+        assert!(Arc::ptr_eq(&a.0, &b.0));
+        assert_eq!(*a.0, 7);
+        assert_ne!(a.1, b.1, "exactly one caller ran the producer");
+    }
+
+    #[test]
+    fn memo_computes_distinct_keys_concurrently() {
+        // Each producer only finishes once the other has started, so a
+        // memo that held one lock across computations would time out.
+        let (tx_a, rx_a) = mpsc::channel();
+        let (tx_b, rx_b) = mpsc::channel();
+        let produce = |tx: mpsc::Sender<()>, rx: mpsc::Receiver<()>, v: u32| {
+            move || {
+                tx.send(()).expect("peer alive");
+                rx.recv_timeout(Duration::from_secs(30))
+                    .expect("the other key's producer never started");
+                v
+            }
+        };
+        let (a, b) = std::thread::scope(|s| {
+            let a = s.spawn(|| memoized("test key A", produce(tx_a, rx_b, 1)));
+            let b = s.spawn(|| memoized("test key B", produce(tx_b, rx_a, 2)));
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!((*a.0, *b.0), (1, 2));
+        assert!(a.1 && b.1);
     }
 }

@@ -81,9 +81,7 @@ fn artefacts_identical_across_worker_counts() {
 /// The planner's task graph is well-formed: task ids are topological
 /// (so the DAG cannot contain a cycle), every dependency edge points at
 /// an existing task, and every infrastructure resource has exactly one
-/// producer task. Planned at full scale: the quick-scale tests in this
-/// binary may have warmed the in-process caches, but nothing builds the
-/// full-scale resources, so none of the producers may be elided.
+/// producer task.
 #[test]
 fn plan_is_acyclic_with_unique_producers() {
     let (heads, plan) = bench::sched::plan(bench::figures::all_specs(Scale::full()));
@@ -118,9 +116,34 @@ fn plan_is_acyclic_with_unique_producers() {
             .collect()
     };
     assert!(dep_kinds("fig04").contains(&"chain"));
-    assert!(dep_kinds("fig13").iter().all(|&k| k == "probe"));
-    assert_eq!(dep_kinds("fig13").len(), 4);
     assert!(dep_kinds("fig17").contains(&"compute"));
+    // A probe walk is one producer task: each fig13 unit waits on
+    // exactly one probe task, and the four units on four distinct ones.
+    let units_of = |figure: &str| -> Vec<&bench::sched::TaskView> {
+        tasks
+            .iter()
+            .filter(|t| t.kind == "unit" && t.figure == figure)
+            .collect()
+    };
+    let fig13 = units_of("fig13");
+    assert_eq!(fig13.len(), 4);
+    let mut walks = std::collections::HashSet::new();
+    for u in &fig13 {
+        assert_eq!(u.deps.len(), 1, "fig13 {} deps", u.label);
+        assert_eq!(tasks[u.deps[0]].kind, "probe", "fig13 {}", u.label);
+        walks.insert(u.deps[0]);
+    }
+    assert_eq!(walks.len(), 4);
+    // Cluster units fork their template host off a chain rung.
+    let cluster = units_of("cluster");
+    assert!(!cluster.is_empty());
+    for u in &cluster {
+        assert!(
+            u.deps.iter().any(|&d| tasks[d].kind == "chain"),
+            "cluster {} has no chain producer",
+            u.label
+        );
+    }
 
     // Every unit survived planning (heads come back drained, so count
     // against a fresh registry).
@@ -131,6 +154,25 @@ fn plan_is_acyclic_with_unique_producers() {
         .sum();
     assert_eq!(n_units, declared);
     assert!(heads.iter().all(|h| h.units.is_empty()));
+}
+
+/// The plan depends on the specs alone, not on process-global cache
+/// state: planning the same registry before and after a warm run in
+/// this process yields the same graph. Producers whose work is already
+/// done stay in the plan and find their chain rung or memo entry ready.
+#[test]
+fn plan_is_a_pure_function_of_the_specs() {
+    let scale = Scale::quick();
+    let shape = || {
+        let (_, plan) = bench::sched::plan(bench::figures::all_specs(scale));
+        plan.view()
+            .into_iter()
+            .map(|t| (t.kind, t.label, t.figure, t.deps))
+            .collect::<Vec<_>>()
+    };
+    let before = shape();
+    let _ = runner::run(bench::figures::all_specs(scale), 2, scale.quick);
+    assert_eq!(before, shape());
 }
 
 /// The registry itself is stable: same scale, same specs.

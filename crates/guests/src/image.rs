@@ -277,7 +277,7 @@ mod tests {
     fn daytime_matches_headline_numbers() {
         let g = GuestImage::unikernel_daytime();
         assert_eq!(g.image_bytes, 480 * KIB);
-        assert!(g.mem_mib * MIB as u64 <= 4 * MIB);
+        assert!(g.mem_mib * MIB <= 4 * MIB);
         // Boot alone ≈ 3 ms on an idle machine.
         let cost = CostModel::paper_defaults();
         let boot = g.boot_latency(&cost, 1.0, 0);

@@ -152,7 +152,7 @@ impl UnitPerf {
 }
 
 /// One scheduled task in the runner's dependency graph: a figure unit,
-/// a worldcache chain rung, a probe-walk step or a memoized compute
+/// a worldcache chain rung, a whole probe walk or a memoized compute
 /// run. The trace records when it ran, on which worker, and what it
 /// depended on — enough to reconstruct the schedule and its critical
 /// path offline.
@@ -160,8 +160,10 @@ impl UnitPerf {
 pub struct TaskPerf {
     /// Task id (index into the trace; `deps` refer to these).
     pub id: u64,
-    /// Task kind: `"unit"`, `"chain"`, `"probe"` or `"compute"` for
-    /// scheduled tasks; `"shard"` for the cluster units' per-worker
+    /// Task kind for scheduled tasks: `"unit"` (a figure unit),
+    /// `"chain"` (one span of a worldcache chain climb), `"probe"` (one
+    /// probe walk, climb included, filling its memo entry) or
+    /// `"compute"` (one memoized overload run); `"shard"` for the cluster units' per-worker
     /// shard spans, which are informational — their wall is contained
     /// in their owning unit's row, so every aggregate below excludes
     /// them.

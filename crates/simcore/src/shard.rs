@@ -238,7 +238,10 @@ mod tests {
         }
     }
 
-    fn run(n: usize, epochs: usize, jobs: usize) -> (Vec<u64>, Vec<(u32, u32, u32, u64)>) {
+    /// Every delivered message as (src, seq, dst, payload).
+    type MessageLog = Vec<(u32, u32, u32, u64)>;
+
+    fn run(n: usize, epochs: usize, jobs: usize) -> (Vec<u64>, MessageLog) {
         let mut shards: Vec<Option<Acc>> = (0..n).map(|_| Some(Acc { sum: 0 })).collect();
         let mut spans = vec![WorkerSpan::default(); jobs.max(1)];
         let mut inboxes: Vec<Vec<u64>> = Vec::new();
@@ -276,7 +279,7 @@ mod tests {
     #[test]
     fn dead_shards_are_skipped_and_drop_mail() {
         let mut shards: Vec<Option<Acc>> =
-            (0..4).map(|i| (i != 2).then(|| Acc { sum: 0 })).collect();
+            (0..4).map(|i| (i != 2).then_some(Acc { sum: 0 })).collect();
         let mut spans = vec![WorkerSpan::default(); 2];
         let step = step_fn(4);
         let msgs = run_epoch(&mut shards, Vec::new(), 2, &mut spans, &step);
