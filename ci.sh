@@ -1,15 +1,18 @@
 #!/usr/bin/env bash
 # CI gate: build everything, lint the whole workspace, tests and
 # benches included, with clippy (warnings are errors), run the whole
-# test suite (with a suite-count guard so lost --workspace coverage
+# test suite (with a named-suite guard so lost --workspace coverage
 # fails loudly),
 # smoke-run the hot-path microbenches, check the headline numbers
 # against results/headline.txt, then regenerate all figures at
-# quick scale through the DAG runner. Fails if any expected artefact is
-# missing, if disabling the world-snapshot cache changes any artefact
-# byte, if any scheduler width changes any artefact byte (quick scale
-# at --jobs 2; full scale at --jobs 1/2/8 against the committed
-# sequential reference in results/), if the full-scale sequential wall
+# quick scale through `runall`, the one figure driver. Every figure's
+# .json, .csv and .txt are compared byte for byte (`same_bytes`). Fails
+# if any expected artefact is missing, if disabling the world-snapshot
+# cache changes any artefact byte, if a seeded replay of the faults,
+# churn or cluster figure does not reproduce it, if any scheduler width
+# changes any artefact byte (quick scale at --jobs 2; full scale at
+# --jobs 1/2/8 against the committed sequential reference in
+# results/), if the full-scale sequential wall
 # regressed >1.5x above the committed baseline, if runner throughput
 # collapsed (>5x below the committed baseline in results/bench_runner.json — a
 # coarse band that only trips on real regressions, not
@@ -27,15 +30,38 @@ cargo clippy --release --offline --workspace --all-targets -- -D warnings
 
 echo "== tests (workspace) =="
 test_log="$(mktemp)"
-cargo test -q --workspace 2>&1 | tee "$test_log"
-# Suite-count guard: a botched invocation (or a workspace edit that
-# drops crates from the build) silently shrinks coverage. The workspace
-# runs 70+ test binaries; fail loudly if most of them did not run.
-suites=$(grep -c '^test result: ok' "$test_log" || true)
+cargo test --workspace 2>&1 | tee "$test_log"
+# Suite guard: a botched invocation (or a workspace edit that drops a
+# crate or a test file from the build) silently shrinks coverage. Every
+# suite named here must run and pass at least one test, and the
+# workspace must pass at least MIN_TESTS tests in all. A suite is named
+# by its test binary (`Running …/<name>-<hash>)`) or as doc:<crate>
+# (`Doc-tests <crate>`); `determinism` is listed twice, once for the
+# bench crate and once for the root crate. Suites with no tests are
+# not listed.
+REQUIRED_SUITES="bench runall determinism proptest_cluster container criterion
+  devices guests hypervisor proptest_hv lightvm determinism end_to_end
+  fault_injection paper_claims lvnet metrics proptest_stats noxs simcore
+  proptest_cpu proptest_engine proptest_time tinyx proptest_tinyx toolstack
+  proptest_churn proptest_config proptest_digest proptest_faults
+  proptest_snapshot xenstore proptest_store doc:lightvm doc:simcore"
+MIN_TESTS=472
+# One "<suite> <passed>" line per suite that ran.
+suite_counts=$(awk '
+  /^ *Running / { n = $NF; sub(/\)$/, "", n); sub(/.*\//, "", n); sub(/-[0-9a-f]+$/, "", n) }
+  /^ *Doc-tests / { n = "doc:" $2 }
+  /^test result: ok\./ { print n, $4 }' "$test_log")
 rm -f "$test_log"
-echo "workspace test suites: $suites (guard: >= 70)"
-if [ "$suites" -lt 70 ]; then
-  echo "ci: only $suites test suite(s) ran — workspace coverage lost (expected >= 70)" >&2
+missing_suites=$(comm -23 <(printf '%s\n' $REQUIRED_SUITES | sort) \
+  <(awk '$2 > 0 { print $1 }' <<< "$suite_counts" | sort))
+total_tests=$(awk '{ s += $2 } END { print s + 0 }' <<< "$suite_counts")
+echo "workspace tests: $total_tests passed (guard: >= $MIN_TESTS, $(wc -w <<< "$REQUIRED_SUITES") named suites)"
+if [ -n "$missing_suites" ]; then
+  echo "ci: named test suite(s) missing or empty:" $missing_suites >&2
+  exit 1
+fi
+if [ "$total_tests" -lt "$MIN_TESTS" ]; then
+  echo "ci: only $total_tests tests passed — workspace coverage lost (expected >= $MIN_TESTS)" >&2
   exit 1
 fi
 
@@ -64,77 +90,70 @@ if ! cmp -s results/headline.txt "$headline_out"; then
 fi
 rm -f "$headline_out"
 
+# Every figure runall writes, in registry order (`runall --list`).
+FIG_IDS="fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b fig13
+  fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations faults churn cluster"
+
+# same_bytes DIR_A DIR_B WHAT [ID...]: every listed figure (default: all
+# of FIG_IDS) has a non-empty .json, .csv and .txt in DIR_A, and DIR_B
+# holds the same bytes. WHAT names the comparison in the failure.
+same_bytes() {
+  local a=$1 b=$2 what=$3 id ext
+  shift 3
+  for id in ${*:-$FIG_IDS}; do
+    for ext in json csv txt; do
+      if [ ! -s "$a/$id.$ext" ]; then
+        echo "ci: MISSING $a/$id.$ext" >&2
+        exit 1
+      fi
+      if ! cmp -s "$a/$id.$ext" "$b/$id.$ext"; then
+        echo "ci: $id.$ext differs: $what ($a vs $b)" >&2
+        exit 1
+      fi
+    done
+  done
+}
+
+# runall_quick DIR ARGS...: a quick-scale runall writing its figures and
+# perf report into DIR (never over results/bench_runner.json).
+runall_quick() {
+  local dir=$1
+  shift
+  LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$dir" \
+    cargo run --release -p bench --bin runall -- "$@" --report "$dir/bench_runner.json"
+}
+
 echo "== figures (runall, quick scale, --seq reference) =="
 FIG_DIR="${LIGHTVM_FIG_DIR:-target/ci-figures}"
-LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR" \
-  cargo run --release -p bench --bin runall -- --seq --report "$FIG_DIR/bench_runner.json"
-
-echo "== artefact check =="
-missing=0
-for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
-          fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations \
-          faults churn cluster; do
-  for ext in json csv; do
-    if [ ! -s "$FIG_DIR/$id.$ext" ]; then
-      echo "MISSING: $FIG_DIR/$id.$ext" >&2
-      missing=1
-    fi
-  done
-done
+runall_quick "$FIG_DIR" --seq
 if [ ! -s "$FIG_DIR/bench_runner.json" ]; then
-  echo "MISSING: $FIG_DIR/bench_runner.json" >&2
-  missing=1
-fi
-if [ "$missing" -ne 0 ]; then
-  echo "ci: figure artefacts missing" >&2
+  echo "ci: MISSING $FIG_DIR/bench_runner.json" >&2
   exit 1
 fi
 
-echo "== scheduler determinism gate (quick scale, --jobs 2 vs --seq) =="
+echo "== artefact check + scheduler determinism gate (quick, --jobs 2 vs --seq) =="
 # The DAG scheduler must be invisible in the artefacts: the same quick
 # run on two workers — chains, probe walks and units genuinely
 # interleaving — must reproduce the sequential reference byte for byte.
-LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/jobs2" \
-  cargo run --release -p bench --bin runall -- --jobs 2 \
-  --report "$FIG_DIR/jobs2/bench_runner.json" > /dev/null
-for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
-          fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations \
-          faults churn cluster; do
-  for ext in json csv; do
-    if ! cmp -s "$FIG_DIR/$id.$ext" "$FIG_DIR/jobs2/$id.$ext"; then
-      echo "ci: $id.$ext differs between --seq and --jobs 2" >&2
-      exit 1
-    fi
-  done
-done
+# same_bytes also fails on any artefact missing from the reference.
+runall_quick "$FIG_DIR/jobs2" --jobs 2 > /dev/null
+same_bytes "$FIG_DIR" "$FIG_DIR/jobs2" "--seq vs --jobs 2"
 
 echo "== fault determinism gate (same seed => same artefact) =="
-# The fault plan is seeded: replaying the faults figure (quick scale,
-# standalone binary this time) must reproduce the runner's artefacts
-# byte for byte.
-LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/faults-replay" \
-  cargo run --release -p bench --bin faults > /dev/null
-for ext in json csv; do
-  if ! cmp -s "$FIG_DIR/faults.$ext" "$FIG_DIR/faults-replay/faults.$ext"; then
-    echo "ci: faults.$ext not reproducible from the same seed" >&2
-    exit 1
-  fi
-done
+# The fault plan is seeded: replaying the faults figure alone (quick
+# scale, a second runall process) must reproduce the reference run's
+# artefacts byte for byte.
+runall_quick "$FIG_DIR/faults-replay" --filter faults > /dev/null
+same_bytes "$FIG_DIR" "$FIG_DIR/faults-replay" "faults replay" faults
 
 echo "== churn smoke gate (replay bytes + census plateau) =="
-# The churn soak (DESIGN.md §6i) is seeded the same way: re-running the
-# standalone binary at quick scale must reproduce the runner's
-# artefacts byte for byte. The units already assert zero digest/census
-# drift internally (a leak panics the run); the gates below re-check
-# the published meta so a weakened assertion can't slip through.
-LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/churn-replay" \
-  cargo run --release -p bench --bin churn > /dev/null
-for ext in json csv; do
-  if ! cmp -s "$FIG_DIR/churn.$ext" "$FIG_DIR/churn-replay/churn.$ext"; then
-    echo "ci: churn.$ext not reproducible from the same seed" >&2
-    exit 1
-  fi
-done
+# The churn soak (DESIGN.md §6i) is seeded the same way: replaying it
+# alone at quick scale must reproduce the reference run's artefacts
+# byte for byte. The units already assert zero digest/census drift
+# internally (a leak panics the run); the gates below re-check the
+# published meta so a weakened assertion can't slip through.
+runall_quick "$FIG_DIR/churn-replay" --filter churn > /dev/null
+same_bytes "$FIG_DIR" "$FIG_DIR/churn-replay" "churn replay" churn
 # Census-plateau gate: every unit's leak meta — digest drift, census
 # drift, last-window arena/interner growth, teardown errors — must be
 # exactly "0", and all 6 units must have published each key.
@@ -151,19 +170,13 @@ echo "churn: 6 units leak-free (digest, census, arena, interner, teardown)"
 
 echo "== cluster determinism gate (replay bytes + shard widths) =="
 # The cluster figure couples thousands of fork-stamped hosts through
-# the sharded conservative-lookahead executor (DESIGN.md §6j). The
-# standalone binary replays it from the same seed and must reproduce
-# the runner's bytes; its --jobs flag widens the shard worker pool,
+# the sharded conservative-lookahead executor (DESIGN.md §6j). A
+# replay of the cluster figure alone must reproduce the reference
+# run's bytes; runall's --jobs also sets the shard worker pool width,
 # which must be invisible in the artefacts too.
 for J in 1 2 8; do
-  LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/cluster-j$J" \
-    cargo run --release -p bench --bin cluster -- --jobs "$J" > /dev/null
-  for ext in json csv; do
-    if ! cmp -s "$FIG_DIR/cluster.$ext" "$FIG_DIR/cluster-j$J/cluster.$ext"; then
-      echo "ci: cluster.$ext (--jobs $J) not reproducible from the same seed" >&2
-      exit 1
-    fi
-  done
+  runall_quick "$FIG_DIR/cluster-j$J" --filter cluster --jobs "$J" > /dev/null
+  same_bytes "$FIG_DIR" "$FIG_DIR/cluster-j$J" "cluster replay at --jobs $J" cluster
 done
 # Evacuation hygiene: both evac units must record zero digest and
 # census drift across the surviving hosts (the units assert it too;
@@ -184,19 +197,8 @@ echo "== snapshot-cache gate (cached vs --no-snapshot-cache) =="
 # artefacts: re-running with the cache disabled — every unit
 # re-simulates its world from scratch — must reproduce the cached
 # run's bytes exactly.
-LIGHTVM_QUICK=1 LIGHTVM_FIG_DIR="$FIG_DIR/nocache" \
-  cargo run --release -p bench --bin runall -- --no-snapshot-cache \
-  --report "$FIG_DIR/nocache/bench_runner.json" > /dev/null
-for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
-          fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations \
-          faults churn cluster; do
-  for ext in json csv; do
-    if ! cmp -s "$FIG_DIR/$id.$ext" "$FIG_DIR/nocache/$id.$ext"; then
-      echo "ci: $id.$ext differs with the snapshot cache disabled" >&2
-      exit 1
-    fi
-  done
-done
+runall_quick "$FIG_DIR/nocache" --no-snapshot-cache > /dev/null
+same_bytes "$FIG_DIR" "$FIG_DIR/nocache" "snapshot cache disabled"
 
 echo "== fault-free baseline gate (full scale vs committed results/) =="
 # With the fault plan inactive the injection layer must consume zero
@@ -211,16 +213,7 @@ for J in 1 2 8; do
   LIGHTVM_FIG_DIR="$FULL_DIR" \
     cargo run --release -p bench --bin runall -- --jobs "$J" \
     --report "$FULL_DIR/bench_runner.json"
-  for id in fig01 fig02 fig04 fig05 fig09 fig10 fig11 fig12a fig12b \
-            fig13 fig14 fig15 fig16a fig16b fig16c fig17 fig18 ablations \
-            faults churn cluster; do
-    for ext in json csv; do
-      if ! cmp -s "results/$id.$ext" "$FULL_DIR/$id.$ext"; then
-        echo "ci: $id.$ext (--jobs $J) differs from committed results/$id.$ext" >&2
-        exit 1
-      fi
-    done
-  done
+  same_bytes results "$FULL_DIR" "full scale --jobs $J vs committed results/"
 done
 
 echo "== cluster scale gate (committed results/cluster.json) =="
@@ -246,8 +239,10 @@ echo "== wall gate (full scale, --jobs 1) =="
 # variance, tight enough to catch a hot path (the incremental world
 # digest of DESIGN.md §6h, the closed-form name check of §6k) going
 # accidentally O(world) again.
+# grep -m1, not `| head -1`: the report holds a wall_ms per unit, and
+# head exiting early would SIGPIPE grep and fail the pipeline.
 extract_wall() {
-  grep -o '"wall_ms": *[0-9.]*' "$1" | head -1 | grep -o '[0-9.]*$'
+  grep -m1 -o '"wall_ms": *[0-9.]*' "$1" | grep -o '[0-9.]*$'
 }
 if [ -s results/bench_runner.json ]; then
   wall_base=$(extract_wall results/bench_runner.json)
@@ -266,7 +261,7 @@ echo "== throughput gate (aggregate_events_per_sec) =="
 # thousands of host-world events per run) land in the same report, so
 # an events/s collapse in the sharded executor trips this gate.
 extract_rate() {
-  grep -o '"aggregate_events_per_sec": *[0-9.]*' "$1" | head -1 | grep -o '[0-9.]*$'
+  grep -m1 -o '"aggregate_events_per_sec": *[0-9.]*' "$1" | grep -o '[0-9.]*$'
 }
 if [ -s results/bench_runner.json ]; then
   baseline=$(extract_rate results/bench_runner.json)

@@ -1,13 +1,16 @@
-//! Regenerates every paper figure in one invocation, fanning the
-//! registry's work units out over a thread pool.
+//! The one figure driver: regenerates every figure of the registry —
+//! the paper's, plus ablations, faults, churn and cluster — in one
+//! invocation, fanning the work units out over a thread pool.
 //!
 //! ```text
 //! runall [--jobs N] [--filter SUBSTR[,SUBSTR..]] [--list] [--seq]
 //!        [--report PATH] [--no-snapshot-cache]
 //! ```
 //!
-//! * `--jobs N`   worker threads (default: available parallelism)
+//! * `--jobs N`   worker threads (default: available parallelism); also
+//!   the cluster units' shard executor width
 //! * `--filter`   only figures whose id contains one of the substrings
+//!   (an empty substring is a usage error)
 //! * `--list`     print figure ids, units and their declared shared
 //!   resources (`Dep`s), run nothing
 //! * `--seq`      force a single worker (equivalent to `--jobs 1`)
@@ -17,10 +20,12 @@
 //!   byte-identical either way (`ci.sh` gates it); the flag exists to
 //!   prove that and to time the uncached path.
 //!
-//! Figure artefacts go to `LIGHTVM_FIG_DIR` (default `target/figures`)
-//! exactly as the individual `figNN` binaries write them; the merged
-//! output is byte-identical to a sequential run regardless of `--jobs`.
-//! `LIGHTVM_QUICK=1` runs the reduced-scale profile.
+//! Each figure `<id>` is written to `LIGHTVM_FIG_DIR` (default
+//! `target/figures`) as `<id>.json`, `<id>.csv` and `<id>.txt`, the
+//! last being the figure's table sampled at its registry x positions.
+//! The output is byte-identical to a sequential run regardless of
+//! `--jobs`. `LIGHTVM_QUICK=1` runs the reduced-scale profile. Malformed
+//! arguments exit with status 2.
 
 use std::io::Write;
 use std::process::ExitCode;
@@ -47,51 +52,61 @@ struct Args {
     filters: Vec<String>,
     list: bool,
     report: std::path::PathBuf,
+    snapshot_cache: bool,
 }
 
-fn usage() -> ! {
-    eprintln!(
-        "usage: runall [--jobs N] [--filter SUBSTR[,SUBSTR..]] [--list] [--seq] [--report PATH] [--no-snapshot-cache]"
-    );
-    std::process::exit(2);
-}
+const USAGE: &str = "usage: runall [--jobs N] [--filter SUBSTR[,SUBSTR..]] [--list] [--seq] [--report PATH] [--no-snapshot-cache]";
 
-fn parse_args() -> Args {
+/// Parses the command line (without the program name). Every malformed
+/// input is an `Err` naming the problem; `main` turns it into exit 2.
+fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     let mut args = Args {
         jobs: std::thread::available_parallelism().map_or(1, |n| n.get()),
         filters: Vec::new(),
         list: false,
         report: std::path::PathBuf::from("results/bench_runner.json"),
+        snapshot_cache: true,
     };
-    let mut it = std::env::args().skip(1);
+    let mut it = argv.into_iter();
     while let Some(arg) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
         match arg.as_str() {
             "--jobs" | "-j" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                args.jobs = v.parse().unwrap_or_else(|_| usage());
-                if args.jobs == 0 {
-                    usage();
-                }
+                let v = value()?;
+                args.jobs = match v.parse() {
+                    Ok(n) if n > 0 => n,
+                    _ => return Err(format!("--jobs wants a positive integer, got {v:?}")),
+                };
             }
             "--filter" | "-f" => {
-                let v = it.next().unwrap_or_else(|| usage());
-                args.filters
-                    .extend(v.split(',').map(|s| s.trim().to_string()));
+                // Every id contains "", so an empty term (`fig09,`)
+                // would silently select all figures.
+                for term in value()?.split(',').map(str::trim) {
+                    if term.is_empty() {
+                        return Err("--filter has an empty term".to_string());
+                    }
+                    args.filters.push(term.to_string());
+                }
             }
             "--list" => args.list = true,
             "--seq" => args.jobs = 1,
-            "--report" => {
-                args.report = std::path::PathBuf::from(it.next().unwrap_or_else(|| usage()));
-            }
-            "--no-snapshot-cache" => bench::worldcache::set_enabled(false),
-            _ => usage(),
+            "--report" => args.report = value()?.into(),
+            "--no-snapshot-cache" => args.snapshot_cache = false,
+            _ => return Err(format!("unknown argument {arg:?}")),
         }
     }
-    args
+    Ok(args)
 }
 
 fn main() -> ExitCode {
-    let args = parse_args();
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("runall: {e}\n{USAGE}");
+            return ExitCode::from(2);
+        }
+    };
+    bench::worldcache::set_enabled(args.snapshot_cache);
     let scale = Scale::from_env();
 
     let mut specs = all_specs(scale);
@@ -140,17 +155,22 @@ fn main() -> ExitCode {
     let dir = bench::out_dir();
     let mut failed = false;
     for run in &figures {
-        match run.figure.write_files(&dir) {
+        let id = &run.figure.id;
+        let table = run.figure.render_table(&run.sample_xs);
+        let written = run
+            .figure
+            .write_files(&dir)
+            .and_then(|()| std::fs::write(dir.join(format!("{id}.txt")), table));
+        match written {
             Ok(()) => {
-                let id = &run.figure.id;
                 say!(
-                    "# {id}: {} series -> {}/{id}.{{json,csv}}",
+                    "# {id}: {} series -> {}/{id}.{{json,csv,txt}}",
                     run.figure.series.len(),
                     dir.display()
                 );
             }
             Err(e) => {
-                eprintln!("# ERROR: could not write {}: {e}", run.figure.id);
+                eprintln!("# ERROR: could not write {id}: {e}");
                 failed = true;
             }
         }
@@ -187,5 +207,77 @@ fn main() -> ExitCode {
         ExitCode::FAILURE
     } else {
         ExitCode::SUCCESS
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn well_formed_arguments_parse() {
+        let a = parse(&["--filter", "fig09, fig14", "-j", "3", "--no-snapshot-cache"]).unwrap();
+        assert_eq!(a.filters, ["fig09", "fig14"]);
+        assert_eq!(a.jobs, 3);
+        assert!(!a.snapshot_cache && !a.list);
+        let a = parse(&["--jobs", "8", "--seq", "--list", "--report", "r.json"]).unwrap();
+        assert_eq!(a.jobs, 1);
+        assert!(a.list && a.snapshot_cache);
+        assert_eq!(a.report, std::path::Path::new("r.json"));
+    }
+
+    #[test]
+    fn malformed_arguments_are_usage_errors() {
+        for argv in [
+            &["--filter", "fig09,"][..],
+            &["--filter", ""],
+            &["--filter", "fig09,,fig14"],
+            &["--jobs", "0"],
+            &["--jobs", "x"],
+            &["--jobs"],
+            &["--filter"],
+            &["--report"],
+            &["--bogus"],
+            &["fig09"],
+        ] {
+            assert!(parse(argv).is_err(), "{argv:?} should be rejected");
+        }
+    }
+
+    /// Random token soup never panics the parser, and whatever it
+    /// accepts holds a positive width and no empty filter term.
+    #[test]
+    fn random_token_sequences_never_panic() {
+        const TOKENS: [&str; 16] = [
+            "--jobs",
+            "-j",
+            "--filter",
+            "-f",
+            "--list",
+            "--seq",
+            "--report",
+            "--no-snapshot-cache",
+            "0",
+            "2",
+            "x",
+            "",
+            ",",
+            "fig09,",
+            "fig09",
+            "--",
+        ];
+        let mut rng = simcore::SimRng::new(0x7a11);
+        for _ in 0..5_000 {
+            let len = rng.index(7);
+            let argv: Vec<&str> = (0..len).map(|_| TOKENS[rng.index(TOKENS.len())]).collect();
+            if let Ok(a) = parse(&argv) {
+                assert!(a.jobs > 0, "{argv:?}");
+                assert!(a.filters.iter().all(|f| !f.is_empty()), "{argv:?}");
+            }
+        }
     }
 }

@@ -24,8 +24,7 @@
 //! Determinism contract: the arrival process and fault plan are seeded,
 //! so identical seeds produce byte-identical artefacts at every
 //! scheduler width, with the snapshot cache on or off (`ci.sh` gates
-//! all of it). A long soak (1M+ lifecycle events) is a CLI flag away:
-//! `cargo run --release -p bench --bin churn -- --events 1000000`.
+//! all of it). `runall --filter churn` regenerates just this figure.
 
 use guests::GuestImage;
 use metrics::{Series, Summary};
@@ -58,19 +57,6 @@ fn machine() -> Machine {
     Machine::preset(MachinePreset::XeonE5_1630V3)
 }
 
-/// Lifecycle events per window: 240 at full scale (1,920 per unit),
-/// 1/10 under `LIGHTVM_QUICK`; a soak run overrides the total with
-/// `LIGHTVM_CHURN_EVENTS` (set by the `churn` binary's `--events`).
-fn events_per_window(scale: Scale) -> usize {
-    if let Ok(v) = std::env::var("LIGHTVM_CHURN_EVENTS") {
-        let total: usize = v
-            .parse()
-            .expect("LIGHTVM_CHURN_EVENTS must be an integer event count");
-        return (total / WINDOWS).max(1);
-    }
-    scale.scaled(240)
-}
-
 fn unit_label(mode: ToolstackMode, faulty: bool) -> String {
     if faulty {
         format!("{} +faults", mode.label())
@@ -82,7 +68,8 @@ fn unit_label(mode: ToolstackMode, faulty: bool) -> String {
 /// One mode's churn soak, fault-free or under a seeded plan.
 fn churn_unit(scale: Scale, mode: ToolstackMode, faulty: bool) -> UnitSpec {
     let base = scale.scaled(100);
-    let per_window = events_per_window(scale);
+    // Lifecycle events per window: 240 at full scale (1,920 per unit).
+    let per_window = scale.scaled(240);
     let spec = WorldSpec {
         machine: machine(),
         dom0_cores: 1,

@@ -1,5 +1,7 @@
-//! Shared helpers for the figure-regeneration binaries, the figure
-//! registry ([`figures`]) and the parallel runner ([`runner`]).
+//! The figure registry ([`figures`]), the parallel runner ([`runner`])
+//! and their shared helpers. `runall` is the one binary that
+//! regenerates figures; `headline` prints the paper's headline numbers
+//! and `allocs` counts allocations on the density hot path.
 
 pub mod ablations;
 pub mod alloc;
@@ -14,26 +16,15 @@ pub mod worldcache;
 
 use std::path::PathBuf;
 
-use metrics::Figure;
 use simcore::SimTime;
 
 pub use figures::Scale;
 
-/// Where figure artefacts (.json/.csv) are written.
+/// Where figure artefacts (.json/.csv/.txt) are written.
 pub fn out_dir() -> PathBuf {
     std::env::var_os("LIGHTVM_FIG_DIR")
         .map(PathBuf::from)
         .unwrap_or_else(|| PathBuf::from("target/figures"))
-}
-
-/// Prints the figure as a table sampled at `xs` and writes the artefacts.
-pub fn finish(fig: &Figure, xs: &[f64]) {
-    print!("{}", fig.render_table(xs));
-    let dir = out_dir();
-    match fig.write_files(&dir) {
-        Ok(()) => println!("# wrote {}/{}.{{json,csv}}", dir.display(), fig.id),
-        Err(e) => eprintln!("# WARNING: could not write artefacts: {e}"),
-    }
 }
 
 /// Densities at which the sweep binaries measure (denser at the start,

@@ -111,29 +111,3 @@ pub fn run(specs: Vec<FigureSpec>, jobs: usize, quick: bool) -> (Vec<FigureRun>,
     };
     (figures, report)
 }
-
-/// Runs a single figure through the same planner/executor as the full
-/// registry — a one-figure DAG on the caller thread — so per-figure
-/// binaries exercise exactly the shipping scheduler path.
-pub fn run_single(spec: FigureSpec) -> FigureRun {
-    let (mut runs, _) = run(vec![spec], 1, false);
-    runs.pop().expect("one figure in, one figure out")
-}
-
-/// Per-figure binary entry point: builds the spec at the environment's
-/// scale, runs it through the scheduler and prints/writes the usual
-/// artefacts.
-pub fn figure_main(id: &str) {
-    figure_main_jobs(id, 1);
-}
-
-/// [`figure_main`] on `jobs` workers (the `cluster` binary's `--jobs`;
-/// artefact bytes are identical at every width).
-pub fn figure_main_jobs(id: &str, jobs: usize) {
-    let scale = crate::figures::Scale::from_env();
-    let spec = crate::figures::spec_by_id(scale, id)
-        .unwrap_or_else(|| panic!("unknown figure id {id:?}"));
-    let (mut runs, _) = run(vec![spec], jobs, scale.quick);
-    let run = runs.pop().expect("one figure in, one figure out");
-    crate::finish(&run.figure, &run.sample_xs);
-}

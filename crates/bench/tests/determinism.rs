@@ -11,7 +11,12 @@ use bench::runner;
 #[test]
 fn parallel_merge_is_byte_identical_to_sequential() {
     let scale = Scale::quick();
-    let seq = runner::run_single(spec_by_id(scale, "fig14").expect("fig14 registered"));
+    let (mut seq, _) = runner::run(
+        vec![spec_by_id(scale, "fig14").expect("fig14 registered")],
+        1,
+        scale.quick,
+    );
+    let seq = seq.remove(0);
     let (mut par, report) =
         runner::run(vec![spec_by_id(scale, "fig14").unwrap()], 4, scale.quick);
     assert_eq!(par.len(), 1);
@@ -20,6 +25,11 @@ fn parallel_merge_is_byte_identical_to_sequential() {
     assert_eq!(seq.figure.to_json(), par.figure.to_json());
     assert_eq!(seq.figure.to_csv(), par.figure.to_csv());
     assert_eq!(seq.sample_xs, par.sample_xs);
+    // The `.txt` table `runall` writes next to the json/csv.
+    assert_eq!(
+        seq.figure.render_table(&seq.sample_xs),
+        par.figure.render_table(&par.sample_xs)
+    );
 
     // The perf report preserves declared unit order.
     let labels: Vec<&str> = report.units.iter().map(|u| u.unit.as_str()).collect();
