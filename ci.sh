@@ -45,7 +45,7 @@ REQUIRED_SUITES="bench runall determinism proptest_cluster container criterion
   proptest_cpu proptest_engine proptest_time tinyx proptest_tinyx toolstack
   proptest_churn proptest_config proptest_digest proptest_faults
   proptest_snapshot xenstore proptest_store doc:lightvm doc:simcore"
-MIN_TESTS=472
+MIN_TESTS=477
 # One "<suite> <passed>" line per suite that ran.
 suite_counts=$(awk '
   /^ *Running / { n = $NF; sub(/\)$/, "", n); sub(/.*\//, "", n); sub(/-[0-9a-f]+$/, "", n) }

@@ -8,50 +8,33 @@
 //! ```
 //!
 //! With script files, commands are read from them; otherwise from stdin.
+//! Malformed arguments exit with status 2.
 
 use std::io::{BufRead, Write};
+use std::process::ExitCode;
 
-use lightvm::cli::{parse_machine, parse_mode, Cli, CmdOutcome};
-use simcore::MachinePreset;
-use toolstack::ToolstackMode;
+use lightvm::cli::{parse_args, Cli, CmdOutcome, USAGE};
 
-fn main() {
-    let mut mode = ToolstackMode::LightVm;
-    let mut machine = MachinePreset::XeonE5_1630V3;
-    let mut dom0_cores = 1usize;
-    let mut seed = 42u64;
-    let mut scripts = Vec::new();
-
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        match arg.as_str() {
-            "--mode" => {
-                let v = args.next().unwrap_or_default();
-                mode = parse_mode(&v).unwrap_or_else(|| die(&format!("bad --mode {v}")));
-            }
-            "--machine" => {
-                let v = args.next().unwrap_or_default();
-                machine = parse_machine(&v).unwrap_or_else(|| die(&format!("bad --machine {v}")));
-            }
-            "--dom0-cores" => {
-                let v = args.next().unwrap_or_default();
-                dom0_cores = v.parse().unwrap_or_else(|_| die(&format!("bad --dom0-cores {v}")));
-            }
-            "--seed" => {
-                let v = args.next().unwrap_or_default();
-                seed = v.parse().unwrap_or_else(|_| die(&format!("bad --seed {v}")));
-            }
-            "--help" | "-h" => {
-                println!("usage: chaos [--mode M] [--machine M] [--dom0-cores N] [--seed N] [script...]");
-                return;
-            }
-            other => scripts.push(other.to_string()),
+fn main() -> ExitCode {
+    let args = match parse_args(std::env::args().skip(1)) {
+        Ok(args) => args,
+        Err(e) => {
+            eprintln!("chaos: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
+    };
+    if args.help {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
     }
 
-    let mut cli = Cli::new(machine, dom0_cores, mode, seed);
-    if scripts.is_empty() {
-        println!("chaos: {} on {machine:?} (type `help`)", mode.label());
+    let mut cli = Cli::new(args.machine, args.dom0_cores, args.mode, args.seed);
+    if args.scripts.is_empty() {
+        println!(
+            "chaos: {} on {:?} (type `help`)",
+            args.mode.label(),
+            args.machine
+        );
         let stdin = std::io::stdin();
         loop {
             print!("chaos> ");
@@ -68,22 +51,23 @@ fn main() {
             }
         }
     } else {
-        for path in scripts {
-            let text = std::fs::read_to_string(&path)
-                .unwrap_or_else(|e| die(&format!("cannot read {path}: {e}")));
+        for path in args.scripts {
+            let text = match std::fs::read_to_string(&path) {
+                Ok(text) => text,
+                Err(e) => {
+                    eprintln!("chaos: cannot read {path}: {e}");
+                    return ExitCode::from(2);
+                }
+            };
             for line in text.lines() {
                 let mut out = String::new();
                 let outcome = cli.exec(line, &mut out);
                 print!("{out}");
                 if outcome == CmdOutcome::Quit {
-                    return;
+                    return ExitCode::SUCCESS;
                 }
             }
         }
     }
-}
-
-fn die(msg: &str) -> ! {
-    eprintln!("chaos: {msg}");
-    std::process::exit(2);
+    ExitCode::SUCCESS
 }

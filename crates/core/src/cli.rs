@@ -18,7 +18,7 @@ use std::fmt::Write as _;
 use guests::GuestImage;
 use hypervisor::DomId;
 use lvnet::Link;
-use simcore::MachinePreset;
+use simcore::{Machine, MachinePreset};
 use toolstack::{SavedVm, ToolstackMode, VmConfig};
 
 use crate::host::Host;
@@ -63,6 +63,77 @@ pub fn parse_machine(s: &str) -> Option<MachinePreset> {
         "xeon14" => MachinePreset::XeonE5_2690V4,
         _ => return None,
     })
+}
+
+/// The `chaos` binary's command line.
+#[derive(Debug)]
+pub struct Args {
+    /// Toolstack the host runs (`--mode`).
+    pub mode: ToolstackMode,
+    /// Machine preset (`--machine`).
+    pub machine: MachinePreset,
+    /// Cores reserved for Dom0 (`--dom0-cores`), at least one and
+    /// fewer than the machine has.
+    pub dom0_cores: usize,
+    /// Simulation seed (`--seed`).
+    pub seed: u64,
+    /// `--help`: print [`USAGE`] and run nothing.
+    pub help: bool,
+    /// Script files to run; stdin when empty.
+    pub scripts: Vec<String>,
+}
+
+/// The `chaos` usage line.
+pub const USAGE: &str =
+    "usage: chaos [--mode M] [--machine M] [--dom0-cores N] [--seed N] [script...]";
+
+/// Parses the `chaos` command line (without the program name). Every
+/// malformed input is an `Err` naming the problem, including a
+/// `--dom0-cores` that leaves the machine no guest core; the binary
+/// turns it into exit status 2.
+pub fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
+    let mut args = Args {
+        mode: ToolstackMode::LightVm,
+        machine: MachinePreset::XeonE5_1630V3,
+        dom0_cores: 1,
+        seed: 42,
+        help: false,
+        scripts: Vec::new(),
+    };
+    let mut it = argv.into_iter();
+    while let Some(arg) = it.next() {
+        let mut value = || it.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--mode" => {
+                let v = value()?;
+                args.mode = parse_mode(&v).ok_or_else(|| format!("bad --mode {v}"))?;
+            }
+            "--machine" => {
+                let v = value()?;
+                args.machine = parse_machine(&v).ok_or_else(|| format!("bad --machine {v}"))?;
+            }
+            "--dom0-cores" => {
+                let v = value()?;
+                args.dom0_cores = v.parse().map_err(|_| format!("bad --dom0-cores {v}"))?;
+            }
+            "--seed" => {
+                let v = value()?;
+                args.seed = v.parse().map_err(|_| format!("bad --seed {v}"))?;
+            }
+            "--help" | "-h" => args.help = true,
+            _ => args.scripts.push(arg),
+        }
+    }
+    // Checked after the loop, so `--machine` may follow `--dom0-cores`.
+    let cores = Machine::preset(args.machine).cores;
+    if args.dom0_cores == 0 || args.dom0_cores >= cores {
+        return Err(format!(
+            "--dom0-cores must be 1..={} on a {cores}-core machine, got {}",
+            cores - 1,
+            args.dom0_cores
+        ));
+    }
+    Ok(args)
 }
 
 /// Resolves an image name from the guest registry.
@@ -471,6 +542,15 @@ mod tests {
         let dir = std::env::temp_dir().join("lightvm-cli-test");
         std::fs::create_dir_all(&dir).unwrap();
         let path = dir.join("vm.cfg");
+        // 2^44 MiB is 2^64 bytes: the create must fail and roll back.
+        std::fs::write(
+            &path,
+            "name = \"huge\"\nkernel = \"/images/daytime.bin\"\nmemory = 17592186044416\n",
+        )
+        .unwrap();
+        let out = run(&mut c, &format!("create-config {}", path.display()));
+        assert!(out.contains("create failed"), "{out}");
+        assert_eq!(c.host().plane.vms().count(), 0);
         std::fs::write(
             &path,
             "name = \"cfged\"\nkernel = \"/images/daytime.bin\"\nmemory = 16\nvif = [ \"bridge=xenbr0\" ]\n",
@@ -499,6 +579,89 @@ mod tests {
         }
         assert!(parse_image("tinyx-emacs").is_none());
         assert!(parse_image("windows").is_none());
+    }
+
+    fn parse(argv: &[&str]) -> Result<Args, String> {
+        parse_args(argv.iter().map(|s| s.to_string()))
+    }
+
+    #[test]
+    fn parse_args_checks_every_value() {
+        let a = parse(&["--dom0-cores", "8", "--machine", "xeon14", "--mode", "xl", "s.txt"]);
+        let a = a.unwrap();
+        assert_eq!((a.dom0_cores, a.machine), (8, MachinePreset::XeonE5_2690V4));
+        assert_eq!(a.mode, ToolstackMode::Xl);
+        assert_eq!(a.scripts, ["s.txt"]);
+        assert!(parse(&["-h"]).unwrap().help);
+        // xeon4, the default machine, has 4 cores.
+        for bad in [
+            &["--dom0-cores", "0"][..],
+            &["--dom0-cores", "4"],
+            &["--dom0-cores", "16", "--machine", "xeon14"],
+            &["--dom0-cores", "two"],
+            &["--dom0-cores"],
+            &["--seed", "-1"],
+            &["--mode", "docker"],
+            &["--machine", "raspi"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?}");
+        }
+    }
+
+    /// Seeded random command lines on one small host: real commands,
+    /// mostly at their arity, over names, images and stray words, and
+    /// `create-config` over random xl configs (huge and zero sizes
+    /// included). Every line must print an outcome, never panic.
+    #[test]
+    fn exec_never_panics_on_random_command_lines() {
+        use simcore::SimRng;
+        const COMMANDS: &[(&str, usize)] = &[
+            ("create", 2), ("create-config", 1), ("list", 0), ("destroy", 1), ("save", 1),
+            ("restore", 1), ("migrate", 1), ("prewarm", 1), ("images", 0), ("info", 0),
+            ("help", 0), ("#", 1), ("frob", 0),
+        ];
+        const NAMES: &[&str] = &["a", "b", "c", "é", "\u{0}"];
+        const IMAGES: &[&str] = &["daytime", "noop", "tinyx-nginx", "tinyx-", "clickos", "debian"];
+        const MEMORY: &[&str] = &["0", "1", "16", "17592186044416", "18446744073709551615", "-3"];
+        let dir = std::env::temp_dir().join("lightvm-cli-fuzz");
+        std::fs::create_dir_all(&dir).unwrap();
+        let cfg = dir.join("fuzz.cfg");
+        let cfg_path = cfg.display().to_string();
+        let mut rng = SimRng::new(0xC11);
+        let mut c = Cli::new(MachinePreset::XeonE5_1630V3, 1, ToolstackMode::LightVm, 7);
+        for _ in 0..300 {
+            if rng.chance(0.2) {
+                let mut text = String::new();
+                for line in [
+                    format!("name = \"{}\"", NAMES[rng.index(NAMES.len())]),
+                    format!("kernel = \"/images/{}.bin\"", IMAGES[rng.index(IMAGES.len())]),
+                    format!("memory = {}", MEMORY[rng.index(MEMORY.len())]),
+                    format!("vcpus = {}", rng.index(300)),
+                    "vif = [ \"bridge=xenbr0\" ]".to_string(),
+                ] {
+                    if rng.chance(0.9) {
+                        text.push_str(&line);
+                        text.push('\n');
+                    }
+                }
+                std::fs::write(&cfg, text).unwrap();
+            }
+            let (cmd, arity) = COMMANDS[rng.index(COMMANDS.len())];
+            let arity = if rng.chance(0.8) { arity } else { rng.index(4) };
+            let mut line = vec![cmd];
+            for i in 0..arity {
+                let word = match (cmd, i) {
+                    ("create-config", 0) => &cfg_path,
+                    ("create", 1) | ("prewarm", 0) => IMAGES[rng.index(IMAGES.len())],
+                    _ => NAMES[rng.index(NAMES.len())],
+                };
+                line.push(word);
+            }
+            let mut out = String::new();
+            assert_eq!(c.exec(&line.join(" "), &mut out), CmdOutcome::Continue);
+            assert!(cmd == "#" || !out.is_empty(), "{line:?}");
+        }
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

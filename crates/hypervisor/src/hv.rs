@@ -207,12 +207,16 @@ impl Hypervisor {
         mib: u64,
     ) -> Result<(), HvError> {
         let pressure = self.memory.factor();
+        let free = self.memory.free();
         let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
-        if d.populated_mib + mib > d.max_mem_mib {
+        // A size whose byte count overflows u64 exceeds any host.
+        let too_big = || HvError::OutOfMemory(OutOfMemory { requested: u64::MAX, free });
+        let populated = d.populated_mib.checked_add(mib).ok_or_else(too_big)?;
+        if populated > d.max_mem_mib {
             return Err(HvError::BadState);
         }
-        self.memory.allocate(mib * MIB)?;
-        d.populated_mib += mib;
+        self.memory.allocate(mib.checked_mul(MIB).ok_or_else(too_big)?)?;
+        d.populated_mib = populated;
         Self::charge(
             meter,
             cost.hypercall_base + (cost.mem_prep_per_mib * mib).scale(pressure),

@@ -6,8 +6,10 @@
 //! the control plane needs at scale: tearing a domain down touches only
 //! that domain's entries, and cloning a hypervisor (a world fork) costs
 //! one refcount per domain while a later mutation copies only the one
-//! domain's map it touches — O(written state) per fork, like the store's
-//! chunked arena.
+//! domain's map it touches — O(written state) per fork, like the
+//! store's `simcore::ChunkVec` arena. A dense chunk vector would not
+//! do here: the tables are sparse in the domid, so a write would copy
+//! 64 domains' maps.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;

@@ -152,6 +152,7 @@ impl Json {
         let mut p = Parser {
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -227,9 +228,17 @@ impl std::fmt::Display for JsonError {
 
 impl std::error::Error for JsonError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The parser
+/// recurses once per level, so without a bound a hostile document
+/// (`[[[[…`) overflows the stack and aborts the process. The committed
+/// artefacts nest 5 deep.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -271,11 +280,25 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
             Some(b'"') => Ok(Json::Str(self.string()?)),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(JsonError::at("expected a value", self.pos)),
         }
+    }
+
+    /// Runs `parse` one nesting level deeper, failing past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonError>,
+    ) -> Result<Json, JsonError> {
+        if self.depth == MAX_DEPTH {
+            return Err(JsonError::at("nesting too deep", self.pos));
+        }
+        self.depth += 1;
+        let v = parse(self);
+        self.depth -= 1;
+        v
     }
 
     fn array(&mut self) -> Result<Json, JsonError> {
@@ -458,6 +481,65 @@ mod tests {
     fn rejects_garbage() {
         for bad in ["", "{", "[1,", "\"x", "nul", "{\"a\" 1}"] {
             assert!(Json::parse(bad).is_err(), "{bad:?} should fail");
+        }
+    }
+
+    #[test]
+    fn deep_nesting_is_an_error_not_a_stack_overflow() {
+        let at_limit = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&at_limit).is_ok());
+        let past = "[".repeat(MAX_DEPTH + 1) + &"]".repeat(MAX_DEPTH + 1);
+        let err = Json::parse(&past).unwrap_err();
+        assert_eq!((err.message.as_str(), err.offset), ("nesting too deep", MAX_DEPTH));
+        for deep in ["[".repeat(1_000_000), "{\"a\":".repeat(1_000_000)] {
+            assert_eq!(Json::parse(&deep).unwrap_err().message, "nesting too deep");
+        }
+    }
+
+    fn random_value(rng: &mut simcore::SimRng, depth: usize) -> Json {
+        match rng.index(if depth == 0 { 4 } else { 6 }) {
+            0 => Json::Null,
+            1 => Json::Bool(rng.chance(0.5)),
+            2 => Json::Num((rng.index(4001) as f64 - 2000.0) / 8.0),
+            3 => Json::Str(["", "a", "é\"\\\n", "\u{1}x"][rng.index(4)].to_string()),
+            4 => Json::Arr((0..rng.index(4)).map(|_| random_value(rng, depth - 1)).collect()),
+            _ => Json::obj(
+                (0..rng.index(4)).map(|i| (format!("k{i}"), random_value(rng, depth - 1))),
+            ),
+        }
+    }
+
+    /// Seeded JSON-ish streams — valid documents, then the same with
+    /// tokens spliced in, cuts, and runs of openers past [`MAX_DEPTH`]
+    /// — must parse or return an error, never panic.
+    #[test]
+    fn parse_never_panics_on_token_streams() {
+        const TOKENS: &[&str] = &[
+            "[", "]", "{", "}", ",", ":", "\"", "\\", "\\u12", "nul", "-", "1e999", "é", "\u{0}",
+        ];
+        let mut rng = simcore::SimRng::new(0x15_0A);
+        for _case in 0..1000 {
+            let v = random_value(&mut rng, 4);
+            let doc = v.compact();
+            assert_eq!(Json::parse(&doc).as_ref(), Ok(&v), "{doc}");
+            let mut doc: Vec<char> = doc.chars().collect();
+            for _ in 0..1 + rng.index(4) {
+                let at = rng.index(doc.len() + 1);
+                match rng.index(3) {
+                    0 => {
+                        doc.truncate(at);
+                    }
+                    1 => {
+                        let opener = if rng.chance(0.5) { "[" } else { "{\"k\":" };
+                        let run = opener.repeat(rng.index(2 * MAX_DEPTH));
+                        doc.splice(at..at, run.chars());
+                    }
+                    _ => {
+                        doc.splice(at..at, TOKENS[rng.index(TOKENS.len())].chars());
+                    }
+                }
+            }
+            let _ = Json::parse(&doc.into_iter().collect::<String>());
         }
     }
 

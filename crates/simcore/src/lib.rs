@@ -12,11 +12,14 @@
 //!   the creation-overhead breakdown (Figure 5).
 //! - [`Machine`]: presets of the paper's three evaluation machines.
 //! - [`SimRng`]: a seeded RNG wrapper so every experiment is reproducible.
+//! - [`ChunkVec`]: a copy-on-write chunked vector, so forked worlds share
+//!   their dense tables until written.
 //!
 //! The simulation is intentionally single-threaded and fully deterministic:
 //! reruns with the same seed produce byte-identical figure data.
 
 pub mod costs;
+pub mod cow;
 pub mod cpu;
 pub mod engine;
 pub mod faults;
@@ -27,6 +30,7 @@ pub mod shard;
 pub mod time;
 
 pub use costs::{Category, CostModel, Meter};
+pub use cow::ChunkVec;
 pub use faults::{FaultPlan, FaultSite, FAULT_RETRIES};
 pub use cpu::{CpuSim, TaskId, TaskKind};
 pub use engine::{Engine, EventId};

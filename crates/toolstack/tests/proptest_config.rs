@@ -64,18 +64,38 @@ fn parser_never_panics() {
     }
 }
 
+/// Random lines built from the config's own tokens — real and random
+/// keys, quoted strings, lists, huge and negative numbers, stray bytes —
+/// must parse or return a `ConfigError`, never panic.
 #[test]
 fn parser_never_panics_liney() {
     let mut rng = SimRng::new(0xCF63);
+    const KEYS: &[&str] = &["name", "kernel", "memory", "vcpus", "vif", "disk"];
     const KEY_CHARS: &[u8] = b"abcdefghijklmnopqrstuvwxyz";
+    const VAL_TOKENS: &[&str] = &[
+        "\"", "[", "]", ",", " ", "\"x\"", "\"/images/daytime.bin\"", "\"bridge=xenbr0\"",
+        "0", "16", "4294967296", "17592186044416", "18446744073709551616", "-1", "é", "#", "=",
+    ];
     const VAL_CHARS: &[u8] = b"\"[]abcdefghijklmnopqrstuvwxyz0123456789 ,";
-    for _case in 0..256 {
+    for _case in 0..512 {
         let lines: Vec<String> = (0..rng.index(10))
             .map(|_| {
-                let key = random_str(&mut rng, KEY_CHARS, 0, 8);
+                let key = if rng.chance(0.6) {
+                    KEYS[rng.index(KEYS.len())].to_string()
+                } else {
+                    random_str(&mut rng, KEY_CHARS, 0, 8)
+                };
                 let eq = if rng.chance(0.5) { " = " } else { "=" };
-                let val = random_str(&mut rng, VAL_CHARS, 0, 20);
-                if rng.chance(0.2) {
+                let val: String = (0..rng.index(5))
+                    .map(|_| {
+                        if rng.chance(0.7) {
+                            VAL_TOKENS[rng.index(VAL_TOKENS.len())].to_string()
+                        } else {
+                            random_str(&mut rng, VAL_CHARS, 0, 6)
+                        }
+                    })
+                    .collect();
+                if rng.chance(0.1) {
                     key
                 } else {
                     format!("{key}{eq}{val}")

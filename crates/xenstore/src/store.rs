@@ -26,6 +26,8 @@ use std::collections::BTreeMap;
 use std::fmt;
 use std::sync::Arc;
 
+use simcore::ChunkVec;
+
 use crate::hash::Mix128;
 use crate::ldsummary::{LocalDomainSummary, NameVal};
 use crate::path::XsPath;
@@ -172,134 +174,6 @@ impl Node {
     }
 }
 
-/// Slots per copy-on-write chunk in [`NodeArena`] and [`HashCache`].
-/// 64 keeps a chunk copy at a few KB — small enough that a forked world
-/// touching a handful of guests localises only a handful of chunks.
-const CHUNK_BITS: usize = 6;
-const CHUNK: usize = 1 << CHUNK_BITS;
-
-/// The node slot arena, stored as fixed-size chunks shared
-/// copy-on-write across world forks: cloning a store bumps one refcount
-/// per chunk instead of deep-copying every node, and a mutation
-/// localises only the 64-slot chunk it lands in (`Arc::make_mut`).
-/// This is what makes cluster-scale fork stamping O(written state) in
-/// memory rather than O(template size) per host.
-#[derive(Clone, Debug)]
-struct NodeArena {
-    chunks: Vec<Arc<Vec<Option<Node>>>>,
-    /// Slots handed out so far (`<= chunks.len() * CHUNK`); the tail of
-    /// the last chunk is unallocated padding, always `None`.
-    len: usize,
-}
-
-impl NodeArena {
-    fn new() -> NodeArena {
-        NodeArena { chunks: Vec::new(), len: 0 }
-    }
-
-    fn len(&self) -> usize {
-        self.len
-    }
-
-    #[inline]
-    fn get(&self, slot: usize) -> Option<&Node> {
-        self.chunks.get(slot >> CHUNK_BITS)?[slot & (CHUNK - 1)].as_ref()
-    }
-
-    /// Mutable access, localising the chunk first if it is shared with
-    /// a forked sibling.
-    #[inline]
-    fn get_mut(&mut self, slot: usize) -> Option<&mut Node> {
-        let chunk = self.chunks.get_mut(slot >> CHUNK_BITS)?;
-        Arc::make_mut(chunk)[slot & (CHUNK - 1)].as_mut()
-    }
-
-    fn set(&mut self, slot: usize, node: Option<Node>) {
-        let chunk = &mut self.chunks[slot >> CHUNK_BITS];
-        Arc::make_mut(chunk)[slot & (CHUNK - 1)] = node;
-    }
-
-    /// Appends a node in the next fresh slot, growing by one chunk when
-    /// the last is full. Returns the slot index.
-    fn push(&mut self, node: Node) -> usize {
-        let slot = self.len;
-        if slot >> CHUNK_BITS == self.chunks.len() {
-            let mut fresh = Vec::with_capacity(CHUNK);
-            fresh.resize_with(CHUNK, || None);
-            self.chunks.push(Arc::new(fresh));
-        }
-        self.len += 1;
-        self.set(slot, Some(node));
-        slot
-    }
-}
-
-/// Cached Merkle digests of each slot's subtree (DESIGN.md §6h), kept
-/// beside the arena rather than inside [`Node`] so arena chunks hold
-/// only plain data and stay shareable across forks. `0` = dirty
-/// ([`Store::node_hash`] never produces 0 — it maps a computed 0 to 1).
-/// Chunked copy-on-write like the arena: forked worlds inherit the
-/// template's warm caches by refcount (the cache is a pure function of
-/// digested state, never of lineage), and an invalidation or recompute
-/// localises only the chunk it writes — so a fork whose content
-/// diverges always owns the cache entries that describe the divergence.
-#[derive(Clone, Debug)]
-struct HashCache {
-    chunks: Vec<Arc<[u128; CHUNK]>>,
-}
-
-/// The symbol → slot map, CoW-chunked like the arena (a flat `Vec<u32>`
-/// re-copies four bytes per interned symbol on every fork). Reads
-/// beyond the populated range are `NO_SLOT`, so it never needs an
-/// explicit resize on the read side.
-#[derive(Clone, Debug)]
-struct SlotMap {
-    chunks: Vec<Arc<[u32; CHUNK]>>,
-}
-
-impl SlotMap {
-    fn new() -> SlotMap {
-        SlotMap { chunks: Vec::new() }
-    }
-
-    #[inline]
-    fn get(&self, idx: usize) -> u32 {
-        self.chunks.get(idx >> CHUNK_BITS).map_or(NO_SLOT, |c| c[idx & (CHUNK - 1)])
-    }
-
-    fn set(&mut self, idx: usize, slot: u32) {
-        while self.chunks.len() <= idx >> CHUNK_BITS {
-            self.chunks.push(Arc::new([NO_SLOT; CHUNK]));
-        }
-        Arc::make_mut(&mut self.chunks[idx >> CHUNK_BITS])[idx & (CHUNK - 1)] = slot;
-    }
-}
-
-impl HashCache {
-    fn new() -> HashCache {
-        HashCache { chunks: Vec::new() }
-    }
-
-    /// The cached digest for a slot; `0` (dirty) when out of range.
-    #[inline]
-    fn get(&self, slot: usize) -> u128 {
-        self.chunks.get(slot >> CHUNK_BITS).map_or(0, |c| c[slot & (CHUNK - 1)])
-    }
-
-    fn set(&mut self, slot: usize, digest: u128) {
-        while self.chunks.len() <= slot >> CHUNK_BITS {
-            self.chunks.push(Arc::new([0; CHUNK]));
-        }
-        Arc::make_mut(&mut self.chunks[slot >> CHUNK_BITS])[slot & (CHUNK - 1)] = digest;
-    }
-
-    fn clear(&mut self) {
-        for chunk in &mut self.chunks {
-            *chunk = Arc::new([0; CHUNK]);
-        }
-    }
-}
-
 /// Stores `value` into `slot` without allocating when avoidable: empty
 /// values share the store-wide empty buffer, and a same-length value
 /// overwrites in place when `slot` is unaliased (refcount 1). Aliased
@@ -416,18 +290,24 @@ pub struct Store {
     /// Reusable ancestor-chain buffer for the node-creating write path.
     chain_scratch: Vec<XsSym>,
     /// Node slot arena, addressed through `slot_of`; `None` = a recycled
-    /// hole awaiting reuse (listed in `free_slots`). Chunked CoW — see
-    /// [`NodeArena`].
-    nodes: NodeArena,
-    /// Lazy per-slot subtree digests, CoW-shared like the arena.
+    /// hole awaiting reuse (listed in `free_slots`) or a slot past
+    /// `arena_len`.
+    nodes: ChunkVec<Option<Node>>,
+    /// Slots handed out so far, live or recycled.
+    arena_len: usize,
+    /// Cached Merkle digests of each slot's subtree (DESIGN.md §6h), kept
+    /// beside the arena so its chunks hold only plain data. `0` = dirty
+    /// ([`Store::node_hash`] never produces 0). Forks inherit warm
+    /// entries (the cache is a pure function of digested state), and an
+    /// invalidation or recompute copies only the chunk it writes.
     /// Interior mutability so the `&self` digest walk can fill it;
     /// borrows are short-scoped and never escape a method.
-    hash_cache: RefCell<HashCache>,
+    hash_cache: RefCell<ChunkVec<u128>>,
     /// Symbol → slot map (`NO_SLOT` = no node at that path). Grows
     /// append-only with the interner; the slots it points into are
     /// recycled, which is what keeps `nodes` at O(peak live) under
-    /// churn. CoW-chunked — see [`SlotMap`].
-    slot_of: SlotMap,
+    /// churn.
+    slot_of: ChunkVec<u32>,
     /// Recycled slots, reused LIFO by [`Store::insert_node`].
     free_slots: Vec<u32>,
     node_count: usize,
@@ -453,15 +333,18 @@ impl Store {
     /// Creates a store containing only the root node.
     pub fn new() -> Store {
         let empty: Arc<[u8]> = Arc::from(&b""[..]);
-        let mut nodes = NodeArena::new();
-        nodes.push(Node::new(&empty, Perms::dom0(), 0));
+        let mut nodes = ChunkVec::new(None);
+        *nodes.get_mut(0) = Some(Node::new(&empty, Perms::dom0(), 0));
+        let mut slot_of = ChunkVec::new(NO_SLOT);
+        *slot_of.get_mut(0) = 0;
         let mut interner = Interner::new();
         let local_domain = interner.intern("/local/domain");
         Store {
             interner: RefCell::new(interner),
             nodes,
-            hash_cache: RefCell::new(HashCache::new()),
-            slot_of: { let mut m = SlotMap::new(); m.set(0, 0); m },
+            arena_len: 1,
+            hash_cache: RefCell::new(ChunkVec::new(0)),
+            slot_of,
             free_slots: Vec::new(),
             empty,
             consts: CONST_VALS.iter().map(|&v| Arc::from(v)).collect(),
@@ -501,10 +384,10 @@ impl Store {
     /// the churn suite compares censuses between matching checkpoints
     /// to catch monotone resource drift.
     pub fn census(&self) -> StoreCensus {
-        debug_assert_eq!(self.node_count + self.free_slots.len(), self.nodes.len());
+        debug_assert_eq!(self.node_count + self.free_slots.len(), self.arena_len);
         StoreCensus {
             live: self.node_count,
-            capacity: self.nodes.len(),
+            capacity: self.arena_len,
             free: self.free_slots.len(),
             interned_syms: self.interner.borrow().len(),
         }
@@ -595,44 +478,43 @@ impl Store {
     /// Resolves a symbol to its live arena slot, if any.
     #[inline]
     fn slot(&self, sym: XsSym) -> Option<usize> {
-        match self.slot_of.get(sym.index()) {
+        match *self.slot_of.get(sym.index()) {
             NO_SLOT => None,
             s => Some(s as usize),
         }
     }
 
     fn node(&self, sym: XsSym) -> Option<&Node> {
-        self.nodes.get(self.slot(sym)?)
+        self.nodes.get(self.slot(sym)?).as_ref()
     }
 
     fn node_mut(&mut self, sym: XsSym) -> Option<&mut Node> {
         let slot = self.slot(sym)?;
-        self.nodes.get_mut(slot)
+        self.nodes.get_mut(slot).as_mut()
     }
 
     /// Installs a node for `sym`, reusing a recycled slot when one is
     /// free (LIFO) and growing the arena only past the live+free peak.
     fn insert_node(&mut self, sym: XsSym, node: Node) {
         let idx = sym.index();
-        debug_assert_eq!(self.slot_of.get(idx), NO_SLOT, "insert over a live node");
-        let slot = match self.free_slots.pop() {
-            Some(s) => {
-                debug_assert!(self.nodes.get(s as usize).is_none(), "free slot was live");
-                self.nodes.set(s as usize, Some(node));
-                s
-            }
-            None => self.nodes.push(node) as u32,
-        };
+        debug_assert_eq!(*self.slot_of.get(idx), NO_SLOT, "insert over a live node");
+        let slot = self.free_slots.pop().unwrap_or_else(|| {
+            self.arena_len += 1;
+            (self.arena_len - 1) as u32
+        });
+        let cell = self.nodes.get_mut(slot as usize);
+        debug_assert!(cell.is_none(), "free slot was live");
+        *cell = Some(node);
         // A recycled slot may still carry the previous occupant's cached
         // digest; the new node starts dirty. (Fresh slots read as dirty
         // already — the cache grows lazily.)
         {
             let mut cache = self.hash_cache.borrow_mut();
-            if cache.get(slot as usize) != 0 {
-                cache.set(slot as usize, 0);
+            if *cache.get(slot as usize) != 0 {
+                *cache.get_mut(slot as usize) = 0;
             }
         }
-        self.slot_of.set(idx, slot);
+        *self.slot_of.get_mut(idx) = slot;
     }
 
     /// Appends `child` to `parent`'s child chain. O(1), allocation-free:
@@ -987,18 +869,19 @@ impl Store {
         // pure function of the operation sequence).
         for s in doomed {
             let idx = s.index();
-            let slot = self.slot_of.get(idx);
+            let slot = *self.slot_of.get(idx);
             debug_assert_ne!(slot, NO_SLOT, "doomed node has a slot");
             match self.ld_role(s) {
                 LdRole::Unread => {}
                 LdRole::Child(numeric_len) => self.ld_summary.remove_child(numeric_len),
                 LdRole::Name => {
-                    let node = self.nodes.get(slot as usize).expect("doomed node is live");
+                    let node = self.nodes.get(slot as usize).as_ref();
+                    let node = node.expect("doomed node is live");
                     self.ld_summary.remove_name(NameVal::of(&node.value));
                 }
             }
-            self.nodes.set(slot as usize, None);
-            self.slot_of.set(idx, NO_SLOT);
+            *self.nodes.get_mut(slot as usize) = None;
+            *self.slot_of.get_mut(idx) = NO_SLOT;
             self.free_slots.push(slot);
         }
         for (owner, n) in credits {
@@ -1171,12 +1054,10 @@ impl Store {
         let mut cur = sym;
         loop {
             if let Some(slot) = self.slot(cur) {
-                if self.nodes.get(slot).is_some() {
-                    if cache.get(slot) == 0 {
-                        return;
-                    }
-                    cache.set(slot, 0);
+                if *cache.get(slot) == 0 {
+                    return;
                 }
+                *cache.get_mut(slot) = 0;
             }
             if cur == XsSym::ROOT {
                 return;
@@ -1224,9 +1105,9 @@ impl Store {
     /// change the sum. Generations and permissions are excluded.
     fn node_hash(&self, sym: XsSym, use_cache: bool) -> u128 {
         let slot = self.slot(sym).expect("digest walk visits live nodes");
-        let node = self.nodes.get(slot).expect("digest walk visits live nodes");
+        let node = self.nodes.get(slot).as_ref().expect("digest walk visits live nodes");
         if use_cache {
-            let h = self.hash_cache.borrow().get(slot);
+            let h = *self.hash_cache.borrow().get(slot);
             if h != 0 {
                 return h;
             }
@@ -1251,7 +1132,7 @@ impl Store {
         // nudged to 1 (uniformly, so uncached recomputes agree).
         let h = mix.finish().max(1);
         if use_cache {
-            self.hash_cache.borrow_mut().set(slot, h);
+            *self.hash_cache.borrow_mut().get_mut(slot) = h;
         }
         h
     }

@@ -9,6 +9,8 @@
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::Arc;
 
+use simcore::ChunkVec;
+
 use crate::path::XsPath;
 use crate::store::Store;
 use crate::sym::XsSym;
@@ -27,50 +29,6 @@ pub struct WatchEvent {
 /// Watches registered on one symbol: `(connection, token)` pairs.
 type WatchList = Vec<(u32, Arc<str>)>;
 
-/// Slots per copy-on-write chunk; mirrors the store arena's chunking.
-const CHUNK_BITS: usize = 6;
-const CHUNK: usize = 1 << CHUNK_BITS;
-
-/// The symbol-indexed watch lists, chunked and shared copy-on-write
-/// across world forks (like the store's node arena): a dense
-/// `Vec<Vec<..>>` costs a Vec header per interned symbol on every world
-/// clone — at cluster scale that dominated fork memory — whereas chunks
-/// clone by refcount and a registration localises only the 64-slot
-/// chunk it lands in.
-#[derive(Clone, Default, Debug)]
-struct SymWatches {
-    chunks: Vec<Arc<Vec<WatchList>>>,
-}
-
-impl SymWatches {
-    #[inline]
-    fn get(&self, idx: usize) -> Option<&WatchList> {
-        self.chunks.get(idx >> CHUNK_BITS)?.get(idx & (CHUNK - 1))
-    }
-
-    /// The list for `idx`, for editing; grows by whole chunks and
-    /// localises a shared chunk first. Callers that may not end up
-    /// mutating should pre-check with [`SymWatches::get`] to avoid a
-    /// pointless chunk copy.
-    fn ensure_mut(&mut self, idx: usize) -> &mut WatchList {
-        while self.chunks.len() <= idx >> CHUNK_BITS {
-            let mut fresh = Vec::with_capacity(CHUNK);
-            fresh.resize_with(CHUNK, Vec::new);
-            self.chunks.push(Arc::new(fresh));
-        }
-        &mut Arc::make_mut(&mut self.chunks[idx >> CHUNK_BITS])[idx & (CHUNK - 1)]
-    }
-
-    /// Removes every entry of `conn` from the list at `idx`, returning
-    /// how many were dropped.
-    fn remove_conn_at(&mut self, idx: usize, conn: u32) -> usize {
-        let list = self.ensure_mut(idx);
-        let before = list.len();
-        list.retain(|(c, _)| *c != conn);
-        before - list.len()
-    }
-}
-
 /// The registry of watches plus per-connection pending event queues.
 ///
 /// Watches are keyed by the *store's* interned path symbols (no second
@@ -81,9 +39,10 @@ impl SymWatches {
 /// watch (what xenstored pays), reported via [`FireStats::checked`].
 #[derive(Clone, Default, Debug)]
 pub struct WatchTable {
-    /// Watch lists, indexed by store symbol (CoW-chunked; most slots
-    /// are empty ancestor entries).
-    by_sym: SymWatches,
+    /// Watch lists, indexed by store symbol. CoW-chunked: a dense
+    /// `Vec<Vec<..>>` would cost a Vec header per interned symbol on
+    /// every world clone (most slots are empty ancestor entries).
+    by_sym: ChunkVec<WatchList>,
     count: usize,
     /// `(conn, sym)` for every symbol whose list holds an entry of
     /// `conn`: dropping a connection visits only its own lists instead
@@ -122,7 +81,7 @@ impl WatchTable {
             path: store.path_of(sym),
             token: token.clone(),
         });
-        self.by_sym.ensure_mut(sym.index()).push((conn, token));
+        self.by_sym.get_mut(sym.index()).push((conn, token));
         self.watched.insert((conn, sym));
         self.count += 1;
     }
@@ -143,13 +102,13 @@ impl WatchTable {
     pub fn unregister_sym(&mut self, conn: u32, sym: XsSym, token: &str) -> bool {
         // Read-only miss check first, so a no-op unregister never
         // copies a fork-shared chunk.
-        match self.by_sym.get(sym.index()) {
-            Some(list) if list.iter().any(|(c, t)| *c == conn && &**t == token) => {}
-            _ => return false,
+        let hit = |(c, t): &(u32, Arc<str>)| *c == conn && &**t == token;
+        if !self.by_sym.get(sym.index()).iter().any(hit) {
+            return false;
         }
-        let list = self.by_sym.ensure_mut(sym.index());
+        let list = self.by_sym.get_mut(sym.index());
         let before = list.len();
-        list.retain(|(c, t)| !(*c == conn && &**t == token));
+        list.retain(|e| !hit(e));
         let removed = before - list.len();
         if !list.iter().any(|(c, _)| *c == conn) {
             self.watched.remove(&(conn, sym));
@@ -187,7 +146,10 @@ impl WatchTable {
             .filter(|(c, _)| *c == conn)
         {
             self.watched.remove(&(conn, sym));
-            self.count -= self.by_sym.remove_conn_at(sym.index(), conn);
+            let list = self.by_sym.get_mut(sym.index());
+            let before = list.len();
+            list.retain(|(c, _)| *c != conn);
+            self.count -= before - list.len();
         }
         self.pending.remove(&conn);
     }
@@ -206,19 +168,18 @@ impl WatchTable {
         let mut fired = 0;
         let mut cur = sym;
         loop {
-            if let Some(list) = self.by_sym.get(cur.index()) {
-                if !list.is_empty() {
-                    let path = store.path_of(sym);
-                    for (conn, token) in list {
-                        self.pending
-                            .entry(*conn)
-                            .or_default()
-                            .push_back(WatchEvent {
-                                path: path.clone(),
-                                token: token.clone(),
-                            });
-                        fired += 1;
-                    }
+            let list = self.by_sym.get(cur.index());
+            if !list.is_empty() {
+                let path = store.path_of(sym);
+                for (conn, token) in list {
+                    self.pending
+                        .entry(*conn)
+                        .or_default()
+                        .push_back(WatchEvent {
+                            path: path.clone(),
+                            token: token.clone(),
+                        });
+                    fired += 1;
                 }
             }
             if cur == XsSym::ROOT {
