@@ -16,9 +16,10 @@
 # regressed >1.5x above the committed baseline, if runner throughput
 # collapsed (>5x below the committed baseline in results/bench_runner.json — a
 # coarse band that only trips on real regressions, not
-# machine-to-machine noise), or if the density hot path allocates again
+# machine-to-machine noise), if the density hot path allocates again
 # (deterministic allocs/event > 1.0; the allocation-free request path
-# landed at 0.432).
+# landed at 0.432), or if a world fork or cluster-host stamp allocates
+# O(guests) again (exact allocation calls and bytes, absolute bounds).
 set -euo pipefail
 cd "$(dirname "$0")"
 
@@ -44,8 +45,9 @@ REQUIRED_SUITES="bench runall determinism proptest_cluster container criterion
   fault_injection paper_claims lvnet metrics proptest_stats noxs simcore
   proptest_cpu proptest_engine proptest_time tinyx proptest_tinyx toolstack
   proptest_churn proptest_config proptest_digest proptest_faults
-  proptest_snapshot xenstore proptest_store doc:lightvm doc:simcore"
-MIN_TESTS=477
+  proptest_snapshot xenstore proptest_store doc:lightvm doc:simcore
+  fork_cost"
+MIN_TESTS=482
 # One "<suite> <passed>" line per suite that ran.
 suite_counts=$(awk '
   /^ *Running / { n = $NF; sub(/\)$/, "", n); sub(/.*\//, "", n); sub(/-[0-9a-f]+$/, "", n) }
@@ -292,4 +294,29 @@ if ! awk -v f="$fresh_allocs" 'BEGIN { exit !(f <= 1.0) }'; then
   echo "ci: density hot path regressed above 1.0 allocs/event" >&2
   exit 1
 fi
+
+echo "== fork-cost gate (stamp and fork allocation calls and bytes) =="
+# The same binary counts the allocation calls and bytes of one stamp of
+# a 100-guest xl template and of one fork of a frozen 1000-guest xl
+# world (DESIGN.md §6e). Both should be O(chunks): 23 calls / 6,567 B
+# and 22 calls / 46,631 B when this gate landed, against 666 / 295,678
+# and 6,356 / 4,308,912 when forks still copied O(guests) tables. The
+# counts are deterministic, so the bounds are absolute (the stamp's are
+# a tenth of its old cost); bytes are gated too, because one O(guests)
+# hash table is a single call.
+alloc_line() {
+  printf '%s\n' "$allocs_out" | grep -m1 -o "^$1: *[0-9]*" | grep -o '[0-9]*$'
+}
+gate_le() {
+  local what=$1 value=$2 bound=$3
+  echo "$what: $value (gate: <= $bound)"
+  if [ -z "$value" ] || [ "$value" -gt "$bound" ]; then
+    echo "ci: $what above $bound" >&2
+    exit 1
+  fi
+}
+gate_le "stamp of a 100-guest xl template, allocation calls" "$(alloc_line stamp_xl_100_allocs)" 66
+gate_le "stamp of a 100-guest xl template, bytes" "$(alloc_line stamp_xl_100_bytes)" 29567
+gate_le "fork of a frozen 1000-guest xl world, allocation calls" "$(alloc_line fork_frozen_allocs)" 64
+gate_le "fork of a frozen 1000-guest xl world, bytes" "$(alloc_line fork_frozen_bytes)" 98304
 echo "ci: OK"

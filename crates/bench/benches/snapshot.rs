@@ -1,15 +1,19 @@
 //! Fork cost vs boot-from-scratch cost at 10/100/1000 guests, per
 //! toolstack mode — the microbench behind the world snapshot cache
-//! (DESIGN.md §6e): a fork is a structure-sharing clone, so it should
-//! be orders of magnitude cheaper than re-simulating the boots it
-//! replaces, and the gap should widen with density.
+//! (DESIGN.md §6e): a fork is a structure-sharing clone of a frozen
+//! world that allocates O(chunks), so it should be orders of magnitude
+//! cheaper than re-simulating the boots it replaces, and its cost
+//! should barely move with density. `stamp_<n>` times one cluster-host
+//! stamp (`HostTemplate::stamp`: fork + domid limit + RNG re-seed) of a
+//! frozen `n`-guest template, at 100 and 1000 guests.
 //!
-//! Results are recorded in `results/bench_micro_pr5.md`.
+//! Results are recorded in `results/bench_micro_pr5.md` and
+//! `results/bench_micro_pr18.md`.
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
 use guests::GuestImage;
 use simcore::{Machine, MachinePreset};
-use toolstack::{ControlPlane, ToolstackMode};
+use toolstack::{ControlPlane, HostTemplate, ToolstackMode};
 
 const MODES: [ToolstackMode; 3] = [
     ToolstackMode::Xl,
@@ -38,11 +42,21 @@ fn bench_fork_vs_boot(c: &mut Criterion) {
     for mode in MODES {
         let mut group = c.benchmark_group(format!("snapshot_{}", mode.label()));
         for &n in counts {
-            let world = booted(mode, n);
+            let mut world = booted(mode, n);
             let snap = world.snapshot();
             group.bench_function(format!("fork_{n}"), |b| {
                 b.iter(|| black_box(snap.fork().running_count()))
             });
+            if n >= 100 {
+                let template = HostTemplate::capture(&mut world, 16);
+                let mut host = 0;
+                group.bench_function(format!("stamp_{n}"), |b| {
+                    b.iter(|| {
+                        host += 1;
+                        black_box(template.stamp(host).running_count())
+                    })
+                });
+            }
             group.bench_function(format!("boot_from_scratch_{n}"), |b| {
                 b.iter(|| black_box(booted(mode, n).running_count()))
             });

@@ -7,6 +7,10 @@
 //! [`thread_allocs`] around its unit, so units never see each other's
 //! allocations even when run in parallel.
 //!
+//! It also counts the bytes those calls request ([`thread_alloc_bytes`]):
+//! a calls-only count cannot tell a one-word box from a 200 KB hash
+//! table, which is what the `allocs` binary's fork-cost lines need.
+//!
 //! Binaries that do not install the allocator still link this module;
 //! [`thread_allocs`] then never advances and reported alloc counts are
 //! zero (the report writer marks them as unmeasured).
@@ -14,24 +18,39 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
+/// Allocation calls and the bytes they requested, on one thread.
+struct Counts {
+    calls: Cell<u64>,
+    bytes: Cell<u64>,
+}
+
 thread_local! {
-    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static COUNTS: Counts = const {
+        Counts {
+            calls: Cell::new(0),
+            bytes: Cell::new(0),
+        }
+    };
 }
 
 /// A [`System`] wrapper that counts allocation *calls* (alloc, realloc
-/// and alloc_zeroed; frees are not counted) on the calling thread.
+/// and alloc_zeroed; frees are not counted) and the bytes they request
+/// (a realloc counts its whole new size) on the calling thread.
 pub struct CountingAlloc;
 
 #[inline]
-fn bump() {
+fn bump(bytes: usize) {
     // `try_with` instead of `with`: the allocator can be re-entered
     // during TLS teardown, where touching the key would abort.
-    let _ = ALLOCS.try_with(|c| c.set(c.get() + 1));
+    let _ = COUNTS.try_with(|c| {
+        c.calls.set(c.calls.get() + 1);
+        c.bytes.set(c.bytes.get() + bytes as u64);
+    });
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -40,12 +59,12 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        bump();
+        bump(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        bump();
+        bump(layout.size());
         unsafe { System.alloc_zeroed(layout) }
     }
 }
@@ -53,7 +72,14 @@ unsafe impl GlobalAlloc for CountingAlloc {
 /// Allocation calls made by the current thread since it started (0 if
 /// [`CountingAlloc`] is not the process's global allocator).
 pub fn thread_allocs() -> u64 {
-    ALLOCS.try_with(|c| c.get()).unwrap_or(0)
+    COUNTS.try_with(|c| c.calls.get()).unwrap_or(0)
+}
+
+/// Bytes requested by the current thread's allocation calls since it
+/// started (0 if [`CountingAlloc`] is not the process's global
+/// allocator).
+pub fn thread_alloc_bytes() -> u64 {
+    COUNTS.try_with(|c| c.bytes.get()).unwrap_or(0)
 }
 
 /// Whether alloc counting is live in this process (i.e. the counter has

@@ -226,7 +226,7 @@ fn run_scenario(sc: &Scenario) -> ScenarioOut {
             let mut cp = sc.template.stamp(i as u64);
             if sc.pre_drain {
                 let k = (i * 3) % 7;
-                let mut doms: Vec<DomId> = cp.vms().map(|(d, _)| *d).collect();
+                let mut doms: Vec<DomId> = cp.vms().map(|(d, _)| d).collect();
                 let tail = doms.split_off(doms.len().saturating_sub(k));
                 for d in tail {
                     cp.destroy_vm(d).expect("pre-drain destroy");

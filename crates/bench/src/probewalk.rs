@@ -108,7 +108,7 @@ fn run_walk(mode: ToolstackMode, steps: &[usize]) -> Walk {
         // The save/restore round-trips run first — they are
         // population-neutral (every saved domain is restored), so the
         // migration probes that follow still sample an n-guest world.
-        let doms: Vec<_> = probe.vms().map(|(d, _)| *d).collect();
+        let doms: Vec<_> = probe.vms().map(|(d, _)| d).collect();
         let k = PROBES_PER_STEP.min(doms.len());
         let mut save_ms = 0.0;
         let mut restore_ms = 0.0;
@@ -121,7 +121,7 @@ fn run_walk(mode: ToolstackMode, steps: &[usize]) -> Walk {
 
         // Migration probes on the same fork; the destination host
         // accumulates arrivals across densities as the paper's did.
-        let doms: Vec<_> = probe.vms().map(|(d, _)| *d).collect();
+        let doms: Vec<_> = probe.vms().map(|(d, _)| d).collect();
         let mk = PROBES_PER_STEP.min(doms.len());
         let mut migrate_ms = 0.0;
         for idx in rng_mig.sample_distinct(doms.len(), mk) {

@@ -8,10 +8,10 @@
 //! `(backend-id, event channel, grant reference)` triple reaches the guest
 //! differs.
 
-use std::collections::HashMap;
+use std::sync::Arc;
 
 use hypervisor::{DeviceKind, DomId, EvtchnPort, GrantRef, HvError, Hypervisor};
-use simcore::{Category, CostModel, Meter};
+use simcore::{Category, ChunkVec, CostModel, Meter};
 
 use crate::xenbus::XenbusState;
 
@@ -79,18 +79,23 @@ pub struct BackendDevice {
     pub grant: GrantRef,
     /// Front-end's local port once bound.
     pub frontend_port: Option<EvtchnPort>,
-    /// MAC address (for vifs).
-    pub mac: String,
 }
 
 /// A back-end driver instance, normally in Dom0 but optionally in a
 /// dedicated *driver domain* (paper §4.1 footnote: "this functionality
 /// can be put in a separate VM called a driver domain").
+///
+/// Devices are grouped by front-end domain in a copy-on-write
+/// [`ChunkVec`] keyed by domid: a world fork costs O(chunks), and
+/// dropping a dead domain's devices touches only that domain.
 #[derive(Clone, Debug)]
 pub struct Backend {
     kind: DeviceKind,
     backend_dom: DomId,
-    devices: HashMap<(u32, u32), BackendDevice>,
+    /// Each domain's devices, in creation order (one allocation per
+    /// domain: a slice, rebuilt when a device comes or goes).
+    devices: ChunkVec<Option<Arc<[BackendDevice]>>>,
+    count: usize,
     next_ctrl_frame: u64,
 }
 
@@ -105,7 +110,8 @@ impl Backend {
         Backend {
             kind,
             backend_dom,
-            devices: HashMap::new(),
+            devices: ChunkVec::new(None),
+            count: 0,
             next_ctrl_frame: 0x10_0000,
         }
     }
@@ -141,7 +147,7 @@ impl Backend {
         dom: DomId,
         devid: u32,
     ) -> Result<(EvtchnPort, GrantRef), DevError> {
-        if self.devices.contains_key(&(dom.0, devid)) {
+        if self.device(dom, devid).is_some() {
             return Err(DevError::Exists);
         }
         meter.charge(Category::Devices, cost.backend_setup);
@@ -149,18 +155,16 @@ impl Backend {
         let frame = self.next_ctrl_frame;
         self.next_ctrl_frame += 1;
         let grant = hv.grant_access(cost, meter, self.backend_dom, dom, frame, false);
-        self.devices.insert(
-            (dom.0, devid),
-            BackendDevice {
-                dom,
-                devid,
-                state: XenbusState::InitWait,
-                evtchn,
-                grant,
-                frontend_port: None,
-                mac: Self::mac_for(dom, devid),
-            },
-        );
+        let dev = BackendDevice {
+            dom,
+            devid,
+            state: XenbusState::InitWait,
+            evtchn,
+            grant,
+            frontend_port: None,
+        };
+        self.devices.push_to(dom.0 as usize, dev);
+        self.count += 1;
         Ok((evtchn, grant))
     }
 
@@ -176,14 +180,11 @@ impl Backend {
         dom: DomId,
         devid: u32,
     ) -> Result<EvtchnPort, DevError> {
-        let dev = self
-            .devices
-            .get_mut(&(dom.0, devid))
-            .ok_or(DevError::NotFound)?;
+        let backend_dom = self.backend_dom;
+        let dev = self.device_mut(dom, devid).ok_or(DevError::NotFound)?;
         if dev.state != XenbusState::InitWait {
             return Err(DevError::BadState);
         }
-        let backend_dom = self.backend_dom;
         let fport = hv.evtchn_bind(cost, meter, dom, backend_dom, dev.evtchn)?;
         hv.grant_map(cost, meter, dom, backend_dom, dev.grant)?;
         // Parameter exchange over the control page (replaces the XenStore
@@ -206,39 +207,47 @@ impl Backend {
         dom: DomId,
         devid: u32,
     ) -> Result<(), DevError> {
-        let dev = self
-            .devices
-            .get_mut(&(dom.0, devid))
-            .ok_or(DevError::NotFound)?;
+        let dev = self.device(dom, devid).ok_or(DevError::NotFound)?.clone();
         meter.charge(Category::Devices, cost.backend_setup.scale(0.5));
         let backend_dom = self.backend_dom;
-        if let Some(fport) = dev.frontend_port.take() {
+        if let Some(fport) = dev.frontend_port {
             let _ = hv.evtchn.close(dom, fport);
             let _ = hv.gnttab.unmap(dom, backend_dom, dev.grant);
         }
         let _ = hv.evtchn.close(backend_dom, dev.evtchn);
         let _ = hv.gnttab.end_access(backend_dom, dev.grant);
-        dev.state = XenbusState::Closed;
-        self.devices.remove(&(dom.0, devid));
+        self.count -= self.devices.retain_in(dom.0 as usize, |d| d.devid != devid);
         Ok(())
     }
 
     /// Looks up a device.
     pub fn device(&self, dom: DomId, devid: u32) -> Option<&BackendDevice> {
-        self.devices.get(&(dom.0, devid))
+        self.devices
+            .get(dom.0 as usize)
+            .as_deref()?
+            .iter()
+            .find(|d| d.devid == devid)
+    }
+
+    /// Mutable device access; a miss copies nothing.
+    fn device_mut(&mut self, dom: DomId, devid: u32) -> Option<&mut BackendDevice> {
+        self.device(dom, devid)?;
+        Arc::make_mut(self.devices.get_mut(dom.0 as usize).as_mut()?)
+            .iter_mut()
+            .find(|d| d.devid == devid)
     }
 
     /// Devices currently managed.
     pub fn count(&self) -> usize {
-        self.devices.len()
+        self.count
     }
 
     /// Forgets all devices of a dead domain (resources are reaped by
     /// [`Hypervisor::destroy`]).
     pub fn drop_domain(&mut self, dom: DomId) -> usize {
-        let before = self.devices.len();
-        self.devices.retain(|(d, _), _| *d != dom.0);
-        before - self.devices.len()
+        let dropped = self.devices.retain_in(dom.0 as usize, |_| false);
+        self.count -= dropped;
+        dropped
     }
 }
 

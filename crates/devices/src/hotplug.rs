@@ -62,7 +62,7 @@ impl Hotplug {
         devid: u32,
     ) -> Result<(), SwitchError> {
         meter.charge(Category::Devices, self.dispatch_cost(cost));
-        switch.add_port(cost, meter, &SoftwareSwitch::vif_name(dom, devid), dom)
+        switch.add_port(cost, meter, dom, devid)
     }
 
     /// Runs vif tear-down.
@@ -75,7 +75,7 @@ impl Hotplug {
         devid: u32,
     ) -> Result<(), SwitchError> {
         meter.charge(Category::Devices, self.dispatch_cost(cost));
-        switch.del_port(cost, meter, &SoftwareSwitch::vif_name(dom, devid))
+        switch.del_port(cost, meter, dom, devid)
     }
 
     /// Runs block-device setup (image loop setup etc.); no switch port.

@@ -4,24 +4,32 @@
 //! §4.1). For the control-plane experiments only port management matters;
 //! data-path behaviour (throughput sharing, overload) lives in `lvnet`.
 
-use std::collections::BTreeMap;
+use std::sync::Arc;
 
 use hypervisor::DomId;
-use simcore::{Category, CostModel, Meter};
+use simcore::{Category, ChunkVec, CostModel, Meter};
 
 /// Switch errors.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum SwitchError {
-    /// Port name already attached.
+    /// Port already attached.
     PortExists,
     /// No such port.
     NoSuchPort,
 }
 
-/// A software switch: named ports mapping to guest domains.
+/// A software switch: vif ports (Xen names them `vif<dom>.<devid>`)
+/// mapping to guest domains.
+///
+/// Ports are grouped by domain in a copy-on-write [`ChunkVec`] keyed by
+/// domid: a world fork costs O(chunks), and a domain's death touches
+/// only its own ports.
 #[derive(Clone, Default, Debug)]
 pub struct SoftwareSwitch {
-    ports: BTreeMap<String, DomId>,
+    /// Each domain's attached vif devids (one allocation per domain: a
+    /// slice, rebuilt when a port comes or goes).
+    ports: ChunkVec<Option<Arc<[u32]>>>,
+    count: usize,
 }
 
 impl SoftwareSwitch {
@@ -30,53 +38,57 @@ impl SoftwareSwitch {
         SoftwareSwitch::default()
     }
 
-    /// Attaches a vif port.
+    /// Attaches the vif port of `dom`'s device `devid`.
     pub fn add_port(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
-        name: &str,
         dom: DomId,
+        devid: u32,
     ) -> Result<(), SwitchError> {
         meter.charge(Category::Devices, cost.switch_add_port);
-        if self.ports.contains_key(name) {
+        if self.has_port(dom, devid) {
             return Err(SwitchError::PortExists);
         }
-        self.ports.insert(name.to_string(), dom);
+        self.ports.push_to(dom.0 as usize, devid);
+        self.count += 1;
         Ok(())
     }
 
-    /// Detaches a vif port.
+    /// Detaches the vif port of `dom`'s device `devid`.
     pub fn del_port(
         &mut self,
         cost: &CostModel,
         meter: &mut Meter,
-        name: &str,
+        dom: DomId,
+        devid: u32,
     ) -> Result<(), SwitchError> {
         meter.charge(Category::Devices, cost.switch_del_port);
-        self.ports.remove(name).map(|_| ()).ok_or(SwitchError::NoSuchPort)
+        if !self.has_port(dom, devid) {
+            return Err(SwitchError::NoSuchPort);
+        }
+        self.count -= self.ports.retain_in(dom.0 as usize, |&d| d != devid);
+        Ok(())
     }
 
     /// Detaches every port of a domain (domain death).
     pub fn drop_domain(&mut self, dom: DomId) -> usize {
-        let before = self.ports.len();
-        self.ports.retain(|_, d| *d != dom);
-        before - self.ports.len()
+        let dropped = self.ports.retain_in(dom.0 as usize, |_| false);
+        self.count -= dropped;
+        dropped
     }
 
-    /// The domain behind a port.
-    pub fn port_owner(&self, name: &str) -> Option<DomId> {
-        self.ports.get(name).copied()
+    /// Whether `dom`'s device `devid` has a port attached.
+    pub fn has_port(&self, dom: DomId, devid: u32) -> bool {
+        self.ports
+            .get(dom.0 as usize)
+            .as_ref()
+            .is_some_and(|d| d.contains(&devid))
     }
 
     /// Number of attached ports.
     pub fn port_count(&self) -> usize {
-        self.ports.len()
-    }
-
-    /// Conventional vif port name.
-    pub fn vif_name(dom: DomId, devid: u32) -> String {
-        format!("vif{}.{}", dom.0, devid)
+        self.count
     }
 }
 
@@ -89,17 +101,19 @@ mod tests {
         let cost = CostModel::paper_defaults();
         let mut m = Meter::new();
         let mut sw = SoftwareSwitch::new();
-        sw.add_port(&cost, &mut m, "vif1.0", DomId(1)).unwrap();
-        assert_eq!(sw.port_owner("vif1.0"), Some(DomId(1)));
+        sw.add_port(&cost, &mut m, DomId(1), 0).unwrap();
+        assert!(sw.has_port(DomId(1), 0));
+        assert!(!sw.has_port(DomId(2), 0));
         assert_eq!(
-            sw.add_port(&cost, &mut m, "vif1.0", DomId(2)).unwrap_err(),
+            sw.add_port(&cost, &mut m, DomId(1), 0).unwrap_err(),
             SwitchError::PortExists
         );
-        sw.del_port(&cost, &mut m, "vif1.0").unwrap();
+        sw.del_port(&cost, &mut m, DomId(1), 0).unwrap();
         assert_eq!(
-            sw.del_port(&cost, &mut m, "vif1.0").unwrap_err(),
+            sw.del_port(&cost, &mut m, DomId(1), 0).unwrap_err(),
             SwitchError::NoSuchPort
         );
+        assert_eq!(sw.port_count(), 0);
         assert!(m.of(Category::Devices) > simcore::SimTime::ZERO);
     }
 
@@ -108,15 +122,10 @@ mod tests {
         let cost = CostModel::paper_defaults();
         let mut m = Meter::new();
         let mut sw = SoftwareSwitch::new();
-        sw.add_port(&cost, &mut m, "vif1.0", DomId(1)).unwrap();
-        sw.add_port(&cost, &mut m, "vif1.1", DomId(1)).unwrap();
-        sw.add_port(&cost, &mut m, "vif2.0", DomId(2)).unwrap();
+        sw.add_port(&cost, &mut m, DomId(1), 0).unwrap();
+        sw.add_port(&cost, &mut m, DomId(1), 1).unwrap();
+        sw.add_port(&cost, &mut m, DomId(2), 0).unwrap();
         assert_eq!(sw.drop_domain(DomId(1)), 2);
         assert_eq!(sw.port_count(), 1);
-    }
-
-    #[test]
-    fn vif_names_follow_convention() {
-        assert_eq!(SoftwareSwitch::vif_name(DomId(12), 0), "vif12.0");
     }
 }

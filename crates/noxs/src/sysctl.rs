@@ -6,12 +6,10 @@
 //! one. These two drivers share a device page through which communication
 //! happens and an event channel."
 
-use std::collections::HashMap;
-
 use hypervisor::{
     DevicePageEntry, DeviceKind, DomId, HvError, Hypervisor, ShutdownReason,
 };
-use simcore::{Category, CostModel, Meter};
+use simcore::{Category, ChunkVec, CostModel, Meter};
 
 /// One guest's sysctl shared page.
 #[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
@@ -23,7 +21,9 @@ struct SharedPage {
 /// The sysctl back-end driver in Dom0.
 #[derive(Clone, Default, Debug)]
 pub struct SysctlBackend {
-    pages: HashMap<u32, SharedPage>,
+    /// Shared pages by domid; copy-on-write, so a world fork costs
+    /// O(chunks).
+    pages: ChunkVec<Option<SharedPage>>,
 }
 
 /// sysctl errors.
@@ -71,13 +71,21 @@ impl SysctlBackend {
                 grant,
             },
         )?;
-        self.pages.insert(dom.0, SharedPage::default());
+        *self.pages.get_mut(dom.0 as usize) = Some(SharedPage::default());
         Ok(())
     }
 
     /// True if `dom` has a sysctl device.
     pub fn is_set_up(&self, dom: DomId) -> bool {
-        self.pages.contains_key(&dom.0)
+        self.pages.get(dom.0 as usize).is_some()
+    }
+
+    /// `dom`'s page for writing; a guest without one copies nothing.
+    fn page_mut(&mut self, dom: DomId) -> Result<&mut SharedPage, SysctlError> {
+        if !self.is_set_up(dom) {
+            return Err(SysctlError::NotSetUp);
+        }
+        Ok(self.pages.get_mut(dom.0 as usize).as_mut().expect("checked"))
     }
 
     /// Dom0 requests a suspend: chaos issues an ioctl to the sysctl
@@ -92,7 +100,7 @@ impl SysctlBackend {
         meter: &mut Meter,
         dom: DomId,
     ) -> Result<(), SysctlError> {
-        let page = self.pages.get_mut(&dom.0).ok_or(SysctlError::NotSetUp)?;
+        let page = self.page_mut(dom)?;
         page.requested = Some(ShutdownReason::Suspend);
         // ioctl + event-channel trigger + guest-side acknowledgment.
         meter.charge(Category::Other, cost.noxs_ioctl + cost.sysctl_suspend);
@@ -108,7 +116,7 @@ impl SysctlBackend {
         meter: &mut Meter,
         dom: DomId,
     ) -> Result<(), SysctlError> {
-        let page = self.pages.get_mut(&dom.0).ok_or(SysctlError::NotSetUp)?;
+        let page = self.page_mut(dom)?;
         page.requested = Some(ShutdownReason::Poweroff);
         meter.charge(Category::Other, cost.noxs_ioctl + cost.sysctl_suspend);
         hv.shutdown(cost, meter, dom, ShutdownReason::Poweroff)?;
@@ -123,7 +131,7 @@ impl SysctlBackend {
         meter: &mut Meter,
         dom: DomId,
     ) -> Result<(), SysctlError> {
-        let page = self.pages.get_mut(&dom.0).ok_or(SysctlError::NotSetUp)?;
+        let page = self.page_mut(dom)?;
         page.requested = None;
         meter.charge(Category::Other, cost.sysctl_resume);
         hv.resume(cost, meter, dom)?;
@@ -133,12 +141,14 @@ impl SysctlBackend {
     /// The pending request visible to the guest (what sysctlfront reads
     /// from the shared page).
     pub fn pending(&self, dom: DomId) -> Option<ShutdownReason> {
-        self.pages.get(&dom.0).and_then(|p| p.requested)
+        self.pages.get(dom.0 as usize).and_then(|p| p.requested)
     }
 
     /// Forgets a dead guest.
     pub fn drop_domain(&mut self, dom: DomId) {
-        self.pages.remove(&dom.0);
+        if self.is_set_up(dom) {
+            *self.pages.get_mut(dom.0 as usize) = None;
+        }
     }
 }
 

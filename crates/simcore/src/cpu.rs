@@ -28,13 +28,23 @@
 //! monotonically away from the common demand), and the fold-left demand
 //! sum over the stable-sorted array equals the insertion-order sum.
 
-use std::collections::HashMap;
-
 use crate::time::SimTime;
 
-/// Handle to a task registered with [`CpuSim`].
+/// Handle to a task registered with [`CpuSim`]: the registration
+/// sequence number above [`CORE_BITS`] bits of core index, so a handle
+/// names its core without a lookup table (and ids still order by
+/// registration).
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug, PartialOrd, Ord)]
 pub struct TaskId(u64);
+
+/// Low bits of a [`TaskId`] holding the core index.
+const CORE_BITS: u32 = 16;
+
+impl TaskId {
+    fn core(self) -> usize {
+        (self.0 & ((1 << CORE_BITS) - 1)) as usize
+    }
+}
 
 /// The two task kinds.
 #[derive(Clone, Copy, Debug, PartialEq)]
@@ -92,8 +102,6 @@ impl CoreState {
 /// Per-core processor-sharing simulator over virtual time.
 #[derive(Clone)]
 pub struct CpuSim {
-    /// Task id -> core index.
-    tasks: HashMap<TaskId, usize>,
     per_core: Vec<CoreState>,
     now: SimTime,
     next_id: u64,
@@ -110,8 +118,8 @@ impl CpuSim {
     pub fn new(cores: usize, speed: f64) -> Self {
         assert!(cores > 0, "need at least one core");
         assert!(speed > 0.0, "speed must be positive");
+        assert!(cores <= 1 << CORE_BITS, "core index must fit a task id");
         CpuSim {
-            tasks: HashMap::new(),
             per_core: vec![CoreState::new(); cores],
             now: SimTime::ZERO,
             next_id: 0,
@@ -157,9 +165,8 @@ impl CpuSim {
 
     fn add(&mut self, core: usize, kind: TaskKind) -> TaskId {
         assert!(core < self.per_core.len(), "core {core} out of range");
-        let id = TaskId(self.next_id);
+        let id = TaskId(self.next_id << CORE_BITS | core as u64);
         self.next_id += 1;
-        self.tasks.insert(id, core);
         let cs = &mut self.per_core[core];
         match kind {
             TaskKind::Finite { remaining } => {
@@ -191,7 +198,7 @@ impl CpuSim {
     ///
     /// Panics if `id` is unknown or not a background task.
     pub fn set_background_demand(&mut self, id: TaskId, demand: f64) {
-        let core = *self.tasks.get(&id).expect("unknown task");
+        let core = id.core();
         let cs = &mut self.per_core[core];
         let pos = cs
             .entries
@@ -209,13 +216,9 @@ impl CpuSim {
     /// Removes a task, returning its remaining work (finite) or demand
     /// (background). Returns `None` if the id is unknown.
     pub fn remove(&mut self, id: TaskId) -> Option<f64> {
-        let core = self.tasks.remove(&id)?;
-        let cs = &mut self.per_core[core];
-        let pos = cs
-            .entries
-            .iter()
-            .rposition(|(tid, _)| *tid == id)
-            .expect("task map and core entries out of sync");
+        let core = id.core();
+        let cs = self.per_core.get_mut(core)?;
+        let pos = cs.entries.iter().rposition(|(tid, _)| *tid == id)?;
         let (_, kind) = cs.entries.remove(pos);
         match kind {
             TaskKind::Finite { remaining } => {
@@ -237,8 +240,7 @@ impl CpuSim {
     }
 
     fn kind_of(&self, id: TaskId) -> Option<TaskKind> {
-        let core = *self.tasks.get(&id)?;
-        let cs = &self.per_core[core];
+        let cs = self.per_core.get(id.core())?;
         cs.entries
             .iter()
             .rev()
@@ -256,9 +258,8 @@ impl CpuSim {
 
     /// Rate (CPU-seconds per second) currently granted to a finite task.
     pub fn rate_of(&self, id: TaskId) -> Option<f64> {
-        let core = *self.tasks.get(&id)?;
         match self.kind_of(id)? {
-            TaskKind::Finite { .. } => Some(self.per_core[core].share * self.speed),
+            TaskKind::Finite { .. } => Some(self.per_core[id.core()].share * self.speed),
             TaskKind::Background { .. } => None,
         }
     }
@@ -378,7 +379,7 @@ impl CpuSim {
                 .expect("finite work exists, a completion must too");
             self.advance_to(at);
             self.reap_done();
-            if !self.tasks.contains_key(&id) {
+            if self.kind_of(id).is_none() {
                 return at;
             }
         }
@@ -449,6 +450,9 @@ impl CpuSim {
         cs.bg_total = total_bg;
         cs.n_active = n_finite;
         cs.agg_ok = true;
+        // Kept at capacity but empty: a world fork copies no stale
+        // demands.
+        scratch.clear();
         cs.scratch = scratch;
     }
 

@@ -5,8 +5,18 @@
 //! cost O(hosts × boots); instead one *template* host is built (or
 //! pulled from the bench world cache) per (toolstack, machine, density)
 //! configuration and every cluster host is *stamped* from it — a
-//! structure-sharing [`Snapshot::fork`], so stamping is O(hosts) clone
-//! work with the store and interner shared until first write.
+//! structure-sharing [`Snapshot::fork`].
+//!
+//! A stamp allocates O(chunks), not O(guests): the snapshot froze the
+//! interner, so every host shares the symbol table by refcount, and
+//! every per-guest table (store arena, watch lists, domains, channels,
+//! grants, devices, switch ports, VM records) is a copy-on-write
+//! `simcore::ChunkVec`; only the CPU model's per-core task lists (a few
+//! bytes per guest) are copied whole. A stamped host then pays for what
+//! it writes: its first create copies the chunks and per-domain entries
+//! it touches, so a host's memory is O(chunks + post-fork writes).
+//! `allocs` prints a stamp's exact allocation calls and bytes, and
+//! `ci.sh` gates them.
 //!
 //! Stamped hosts differ from the template in exactly two declared ways:
 //!
@@ -48,12 +58,6 @@ impl HostTemplate {
     pub fn capture(world: &mut ControlPlane, guest_headroom: u32) -> HostTemplate {
         let digest = world.world_digest64();
         let domid_limit = domid_limit_for(world, guest_headroom);
-        // Freeze the interner so every stamped host shares the symbol
-        // table by refcount; together with the store's chunked CoW
-        // arena this makes a stamp's memory cost O(post-fork writes),
-        // not O(template size) — the property that keeps a
-        // thousand-host fleet under one process's comfortable RSS.
-        world.xs.store().freeze_shared();
         HostTemplate {
             snap: world.snapshot(),
             digest,

@@ -12,7 +12,6 @@ use lvnet::Link;
 use noxs::checkpoint as noxs_ckpt;
 use noxs::migrate::{self as noxs_migrate, MigrationEndpoint};
 use simcore::{Category, Meter, SimTime};
-use std::sync::Arc;
 
 use devices::{xsdev, Backend};
 
@@ -35,7 +34,7 @@ impl ControlPlane {
     pub fn save_vm(&mut self, dom: DomId) -> Result<(SavedVm, SimTime), PlaneError> {
         let cost = self.cost();
         let mut meter = Meter::new();
-        let vm = self.vms.get(&dom).ok_or(PlaneError::NoSuchVm)?.as_ref().clone();
+        let vm = self.vm(dom)?.clone();
         let mem_mib = self.hv.domain(dom)?.populated_mib;
 
         meter.charge(
@@ -180,7 +179,7 @@ impl ControlPlane {
         link: &Link,
         dom: DomId,
     ) -> Result<(DomId, SimTime), PlaneError> {
-        let vm = self.vms.get(&dom).ok_or(PlaneError::NoSuchVm)?.as_ref().clone();
+        let vm = self.vm(dom)?.clone();
         let (new_dom, latency) = if self.mode.uses_xenstore() {
             self.migrate_via_xenstore(dst, link, dom, &vm)?
         } else {
@@ -322,12 +321,12 @@ impl ControlPlane {
 
     /// Drops local bookkeeping for a guest that left this host.
     pub(crate) fn forget_vm(&mut self, dom: DomId, vm: &Vm) {
-        if self.vms.contains_key(&dom) {
+        if self.vm(dom).is_ok() {
             if let Some(n) = self.image_instances.get_mut(&vm.image.name) {
                 *n = n.saturating_sub(1);
             }
         }
-        if let Some(rec) = self.vms.remove(&dom) {
+        if let Some(rec) = self.remove_vm(dom) {
             if let Some(bg) = rec.bg {
                 self.cpu.remove(bg);
             }
@@ -351,13 +350,10 @@ impl ControlPlane {
         let bg = self.cpu.add_background(core, image.idle_demand);
         self.note_booted(image.watches);
         self.dom0_load_total += image.dom0_load;
-        *self
-            .image_instances
-            .entry(image.name.to_string())
-            .or_insert(0) += 1;
-        self.vms.insert(
+        self.note_instance(&image.name);
+        self.insert_vm(
             dom,
-            Arc::new(Vm {
+            Vm {
                 name: name.to_string(),
                 image: image.clone(),
                 core,
@@ -365,7 +361,7 @@ impl ControlPlane {
                 booted: true,
                 net_devids: if image.needs_net { vec![0] } else { vec![] },
                 blk_devids: if image.needs_block { vec![0] } else { vec![] },
-            }),
+            },
         );
         self.refresh_interference();
     }

@@ -9,7 +9,6 @@
 //! | `ChaosNoxs`     | noxs     | chaos     | xendevd  | no   |
 //! | `LightVm`       | noxs     | chaos     | xendevd  | yes  |
 
-use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use devices::{xsdev, Backend, Hotplug, SoftwareSwitch};
@@ -17,8 +16,8 @@ use guests::GuestImage;
 use hypervisor::{DeviceKind, DomId, DomainConfig, Hypervisor, HvError};
 use noxs::{driver as noxs_driver, SysctlBackend};
 use simcore::{
-    Category, CostModel, CpuSim, FaultPlan, FaultSite, Machine, Meter, SimRng, SimTime, TaskId,
-    FAULT_RETRIES,
+    Category, ChunkVec, CostModel, CpuSim, FaultPlan, FaultSite, Machine, Meter, SimRng, SimTime,
+    TaskId, FAULT_RETRIES,
 };
 use xenstore::{u32_str, Flavor, WatchEvent, XsError, XsSym, Xenstored};
 
@@ -283,10 +282,11 @@ pub struct ControlPlane {
     /// by site (see [`TeardownErrors`]).
     pub teardown_errors: TeardownErrors,
     pub(crate) dom0_cores: usize,
-    // Per-entry `Arc` so a forked host shares all prewarmed VM records
-    // with its template by refcount; `Arc::make_mut` localises the copy
-    // to the one record a mutation touches.
-    pub(crate) vms: BTreeMap<DomId, Arc<Vm>>,
+    // Keyed by domid, copy-on-write: a forked host shares every VM
+    // record with its template, and a mutation copies one chunk of
+    // refcounts and the one record it touches.
+    vms: ChunkVec<Option<Arc<Vm>>>,
+    vm_count: usize,
     pub(crate) rng: SimRng,
     /// Work done off the critical path (pool refills).
     pub background_meter: Meter,
@@ -343,7 +343,8 @@ impl ControlPlane {
             create_failures: 0,
             teardown_errors: TeardownErrors::default(),
             dom0_cores,
-            vms: BTreeMap::new(),
+            vms: ChunkVec::new(None),
+            vm_count: 0,
             rng: SimRng::new(seed),
             background_meter: Meter::new(),
             dom0_load_total: 0.0,
@@ -417,24 +418,48 @@ impl ControlPlane {
 
     /// Number of VMs the control plane tracks.
     pub fn running_count(&self) -> usize {
-        self.vms.len()
+        self.vm_count
     }
 
     /// VM record access.
     pub fn vm(&self, dom: DomId) -> Result<&Vm, PlaneError> {
-        self.vms.get(&dom).map(|v| v.as_ref()).ok_or(PlaneError::NoSuchVm)
+        self.vms.value(dom.0 as usize).ok_or(PlaneError::NoSuchVm)
     }
 
     /// Iterates over (domid, vm).
-    pub fn vms(&self) -> impl Iterator<Item = (&DomId, &Vm)> {
-        self.vms.iter().map(|(d, v)| (d, v.as_ref()))
+    pub fn vms(&self) -> impl Iterator<Item = (DomId, &Vm)> {
+        self.vms.values().map(|(d, v)| (DomId(d as u32), v))
+    }
+
+    /// Counts one more running instance of image `name`.
+    pub(crate) fn note_instance(&mut self, name: &str) {
+        match self.image_instances.get_mut(name) {
+            Some(n) => *n += 1,
+            None => {
+                self.image_instances.insert(name.to_string(), 1);
+            }
+        }
+    }
+
+    /// Records `vm` under `dom`.
+    pub(crate) fn insert_vm(&mut self, dom: DomId, vm: Vm) {
+        if self.vms.insert(dom.0 as usize, vm).is_none() {
+            self.vm_count += 1;
+        }
+    }
+
+    /// Removes and returns `dom`'s record.
+    pub(crate) fn remove_vm(&mut self, dom: DomId) -> Option<Arc<Vm>> {
+        let vm = self.vms.remove(dom.0 as usize)?;
+        self.vm_count -= 1;
+        Some(vm)
     }
 
     /// Guest memory in use (bytes), the Figure 14 quantity.
     pub fn guest_memory_used(&self) -> u64 {
         self.vms
             .values()
-            .map(|vm| vm.image.footprint_bytes())
+            .map(|(_, vm)| vm.image.footprint_bytes())
             .sum()
     }
 
@@ -475,7 +500,7 @@ impl ControlPlane {
     pub(crate) fn refresh_interference(&mut self) {
         debug_assert_eq!(
             self.booted_watches,
-            self.vms.values().filter(|v| v.booted).map(|v| v.image.watches).sum::<u32>(),
+            self.vms().filter(|(_, v)| v.booted).map(|(_, v)| v.image.watches).sum::<u32>(),
             "incremental booted-watch sum drifted from the VM map"
         );
         self.xs
@@ -557,13 +582,10 @@ impl ControlPlane {
         }
 
         let core = self.hv.domain(dom)?.vcpu_cores[0];
-        *self
-            .image_instances
-            .entry(image.name.clone())
-            .or_insert(0) += 1;
-        self.vms.insert(
+        self.note_instance(&image.name);
+        self.insert_vm(
             dom,
-            Arc::new(Vm {
+            Vm {
                 name: name.to_string(),
                 image: image.clone(),
                 core,
@@ -571,7 +593,7 @@ impl ControlPlane {
                 booted: false,
                 net_devids: if image.needs_net { vec![0] } else { vec![] },
                 blk_devids: if image.needs_block { vec![0] } else { vec![] },
-            }),
+            },
         );
         self.created_total += 1;
 
@@ -859,6 +881,7 @@ impl ControlPlane {
             Ok(()) => {}
             Err(XsError::NotFound) => entries.clear(),
             Err(e) => {
+                entries.clear();
                 self.dir_scratch = entries;
                 return Err(e.into());
             }
@@ -875,6 +898,8 @@ impl ControlPlane {
                 }
             }
         }
+        // Scratch goes back empty, so a world fork copies nothing stale.
+        entries.clear();
         self.dir_scratch = entries;
         if taken {
             return Err(PlaneError::NameTaken(name.to_string()));
@@ -965,6 +990,7 @@ impl ControlPlane {
             &mut self.switch, self.mode.hotplug(), cost, meter, &mut events,
             &mut self.faults,
         );
+        events.clear();
         self.xs_events = events;
         result?;
         Ok(())
@@ -1181,15 +1207,16 @@ impl ControlPlane {
     pub fn boot_vm(&mut self, dom: DomId) -> Result<SimTime, PlaneError> {
         let cost = self.cost();
         let mut meter = Meter::new();
-        let (image, core, net_devids, blk_devids) = {
-            let vm = self.vms.get(&dom).ok_or(PlaneError::NoSuchVm)?;
-            (
-                vm.image.clone(),
-                vm.core,
-                vm.net_devids.clone(),
-                vm.blk_devids.clone(),
-            )
-        };
+        // A refcount on the record, not a copy of its image and device
+        // lists; released before the record is written below, so that
+        // write copies nothing.
+        let vm = Arc::clone(
+            self.vms
+                .get(dom.0 as usize)
+                .as_ref()
+                .ok_or(PlaneError::NoSuchVm)?,
+        );
+        let (image, core) = (&vm.image, vm.core);
         self.hv.unpause(&cost, &mut meter, dom)?;
 
         if self.mode.uses_xenstore() {
@@ -1206,9 +1233,8 @@ impl ControlPlane {
                     .watch_s(&cost, &mut meter, dom.0, d, &self.fe_tokens[w]);
             }
             self.xs.drain_events(&cost, &mut meter, dom.0);
-            if let Err(e) =
-                self.connect_frontends(&cost, &mut meter, dom, &net_devids, &blk_devids, &image)
-            {
+            let (net, blk) = (&vm.net_devids, &vm.blk_devids);
+            if let Err(e) = self.connect_frontends(&cost, &mut meter, dom, net, blk, image) {
                 // Aborted boot: unregister the watches registered above
                 // and drop any events they fired, so the watch table and
                 // queues return to their pre-boot state. The domain
@@ -1254,13 +1280,15 @@ impl ControlPlane {
         // The guest is now resident: register its idle churn.
         let bg = self.cpu.add_background(core, image.idle_demand);
         self.dom0_load_total += image.dom0_load;
+        let watches = image.watches;
+        drop(vm);
         // Re-fetch fallibly: the connect phase above can in principle
         // tear state down, and a vanished record should surface as an
         // error, not a panic.
-        let vm = Arc::make_mut(self.vms.get_mut(&dom).ok_or(PlaneError::NoSuchVm)?);
+        let vm = self.vms.value_mut(dom.0 as usize).ok_or(PlaneError::NoSuchVm)?;
         vm.bg = Some(bg);
         if !vm.booted {
-            self.booted_watches += image.watches;
+            self.booted_watches += watches;
         }
         vm.booted = true;
         self.refresh_interference();
@@ -1341,7 +1369,7 @@ impl ControlPlane {
     pub fn destroy_vm(&mut self, dom: DomId) -> Result<SimTime, PlaneError> {
         let cost = self.cost();
         let mut meter = Meter::new();
-        let vm = self.vms.remove(&dom).ok_or(PlaneError::NoSuchVm)?;
+        let vm = self.remove_vm(dom).ok_or(PlaneError::NoSuchVm)?;
         if let Some(n) = self.image_instances.get_mut(&vm.image.name) {
             *n = n.saturating_sub(1);
         }

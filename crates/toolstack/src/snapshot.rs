@@ -5,10 +5,14 @@
 //! hypervisor (domains, memory reservations, grants, event channels),
 //! device back-ends and the software switch, and toolstack bookkeeping
 //! (shell pool, RNG streams, meters, per-image counters). The capture
-//! is a structure-sharing clone: node values are `Arc<[u8]>` and the
-//! interner's symbols are `Arc<str>`, so most of the store copies as
-//! reference bumps; the flat tables (nodes, domains, grants, channels)
-//! memcpy. Forking a snapshot yields a [`ControlPlane`] that is
+//! is a structure-sharing clone that allocates O(chunks), not
+//! O(guests): the interner is frozen into an `Arc`-shared base first,
+//! and every per-guest table — the store's arena and side tables, the
+//! watch table, domains, event channels, grants, back-end devices,
+//! switch ports, VM records — is a copy-on-write `simcore::ChunkVec`
+//! whose clone bumps one refcount per 64-slot chunk. A write after the
+//! fork copies only the chunk and the per-domain entry it touches.
+//! Forking a snapshot yields a [`ControlPlane`] that is
 //! digest-identical to one freshly simulated to the same point — the
 //! simulation is fully seeded and the clone is faithful, which
 //! `crates/toolstack/tests/proptest_snapshot.rs` pins per mode, density
@@ -48,7 +52,12 @@ impl Snapshot {
 
 impl ControlPlane {
     /// Captures the current world state as a [`Snapshot`].
+    ///
+    /// Freezes the store's interner first (DESIGN.md §6e), so the
+    /// snapshot and every fork of it share the symbol table by refcount
+    /// instead of each deep-copying it. Symbols do not move.
     pub fn snapshot(&self) -> Snapshot {
+        self.xs.store().freeze_shared();
         Snapshot {
             world: self.clone(),
         }
@@ -56,8 +65,10 @@ impl ControlPlane {
 
     /// Forks the live world directly: a throwaway copy for destructive
     /// probes (save/restore, migration) that must not disturb the
-    /// original. Equivalent to `self.snapshot().fork()` in one clone.
+    /// original. Equivalent to `self.snapshot().fork()` in one clone,
+    /// interner freeze included.
     pub fn fork(&self) -> ControlPlane {
+        self.xs.store().freeze_shared();
         self.clone()
     }
 

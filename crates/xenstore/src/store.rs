@@ -280,13 +280,13 @@ pub struct Store {
     /// of allocating.
     empty: Arc<[u8]>,
     /// Pre-built payloads for [`CONST_VALS`], index-aligned.
-    consts: Vec<Arc<[u8]>>,
+    consts: Arc<[Arc<[u8]>]>,
     /// Lazily grown shared payloads for short decimal strings (domids,
     /// device ids, ports, ring refs), indexed by numeric value: each
     /// distinct value allocates once per store lifetime, after which
     /// every write of it is a refcount bump. Interior mutability so
     /// read-side value wrapping (`&self`) can populate it.
-    digit_cache: RefCell<Vec<Option<Arc<[u8]>>>>,
+    digit_cache: RefCell<ChunkVec<Option<Arc<[u8]>>>>,
     /// Reusable ancestor-chain buffer for the node-creating write path.
     chain_scratch: Vec<XsSym>,
     /// Node slot arena, addressed through `slot_of`; `None` = a recycled
@@ -312,8 +312,8 @@ pub struct Store {
     free_slots: Vec<u32>,
     node_count: usize,
     generation: u64,
-    /// Nodes owned per domain (Dom0 exempt from quota).
-    owned: BTreeMap<u32, usize>,
+    /// Nodes owned per domain, by domid (Dom0 exempt from quota).
+    owned: ChunkVec<usize>,
     /// Per-domain node quota (None = unlimited).
     quota: Option<usize>,
     /// `/local/domain`, interned at construction.
@@ -348,11 +348,11 @@ impl Store {
             free_slots: Vec::new(),
             empty,
             consts: CONST_VALS.iter().map(|&v| Arc::from(v)).collect(),
-            digit_cache: RefCell::new(Vec::new()),
+            digit_cache: RefCell::new(ChunkVec::new(None)),
             chain_scratch: Vec::new(),
             node_count: 1,
             generation: 0,
-            owned: BTreeMap::new(),
+            owned: ChunkVec::new(0),
             quota: None,
             local_domain,
             ld_summary: LocalDomainSummary::default(),
@@ -367,7 +367,7 @@ impl Store {
 
     /// Nodes currently owned by a domain.
     pub fn owned_by(&self, dom: u32) -> usize {
-        self.owned.get(&dom).copied().unwrap_or(0)
+        *self.owned.get(dom as usize)
     }
 
     /// Number of nodes including the root.
@@ -644,10 +644,10 @@ impl Store {
         }
         let n = value.iter().fold(0usize, |acc, &b| acc * 10 + (b - b'0') as usize);
         let mut cache = self.digit_cache.borrow_mut();
-        if cache.len() <= n {
-            cache.resize(n + 1, None);
+        if let Some(v) = cache.get(n) {
+            return Some(Arc::clone(v));
         }
-        Some(Arc::clone(cache[n].get_or_insert_with(|| Arc::from(value))))
+        Some(Arc::clone(cache.get_mut(n).insert(Arc::from(value))))
     }
 
     /// The store-wide shared empty payload.
@@ -721,6 +721,8 @@ impl Store {
         chain.pop(); // the root always exists
         chain.reverse();
         let res = self.write_chain_sym(dom, &chain, value);
+        // Left empty, so a world fork copies nothing stale.
+        chain.clear();
         self.chain_scratch = chain;
         res
     }
@@ -738,7 +740,7 @@ impl Store {
         // Quota pre-check: every node this write would create must fit.
         if dom != 0 {
             if let Some(q) = self.quota {
-                let have = self.owned.get(&dom).copied().unwrap_or(0);
+                let have = *self.owned.get(dom as usize);
                 let missing = chain.iter().filter(|&&s| !self.exists_sym(s)).count();
                 if have + missing > q {
                     return Err(XsError::QuotaExceeded);
@@ -790,7 +792,7 @@ impl Store {
         }
         self.node_count += created;
         if dom != 0 && created > 0 {
-            *self.owned.entry(dom).or_insert(0) += created;
+            *self.owned.get_mut(dom as usize) += created;
         }
         Ok(())
     }
@@ -885,10 +887,9 @@ impl Store {
             self.free_slots.push(slot);
         }
         for (owner, n) in credits {
-            if owner != 0 {
-                if let Some(c) = self.owned.get_mut(&owner) {
-                    *c = c.saturating_sub(n);
-                }
+            if owner != 0 && *self.owned.get(owner as usize) > 0 {
+                let c = self.owned.get_mut(owner as usize);
+                *c = c.saturating_sub(n);
             }
         }
         self.generation += 1;
@@ -1089,9 +1090,8 @@ impl Store {
     /// Freezes the interner's overlay into its shared base (see
     /// [`Interner::freeze`]): clones taken from here on share the whole
     /// symbol table by refcount instead of deep-copying it. Called at
-    /// fork points — host-template capture before cluster stamping.
-    /// Purely a representation change; symbols and lookups are
-    /// unaffected.
+    /// every world fork (`ControlPlane::snapshot` and `fork`). Purely a
+    /// representation change; symbols and lookups are unaffected.
     pub fn freeze_shared(&self) {
         self.interner.borrow_mut().freeze();
     }

@@ -77,7 +77,8 @@ pub struct Interner {
     by_path: HashMap<Arc<str>, XsSym>,
     entries: Vec<SymEntry>,
     /// Reusable buffer for composing child paths; kept at capacity so a
-    /// steady-state [`Interner::child`] hit performs zero allocations.
+    /// steady-state [`Interner::child`] hit performs zero allocations,
+    /// and empty between calls so a clone copies nothing.
     scratch: String,
 }
 
@@ -117,20 +118,27 @@ impl Interner {
     /// Folds the local overlay into the shared base, so clones taken
     /// from here on share the whole table by refcount instead of
     /// deep-copying it. Symbols are unaffected (the concatenation order
-    /// is preserved). Called at world fork points; a no-op when the
+    /// is preserved). Called at every world fork; a no-op when the
     /// overlay is already empty.
+    ///
+    /// The overlay's map is released, not drained: a drained hash map
+    /// keeps its full capacity, and every later clone would copy that
+    /// empty table. When this interner owns the base alone the fold
+    /// costs O(min(base, overlay)) hashing — the smaller map is merged
+    /// into the larger — so the first freeze of a big unfrozen table
+    /// onto the root-only base re-hashes nothing but the root. A base a
+    /// fork still shares is copied first, leaving the fork untouched.
     pub fn freeze(&mut self) {
         if self.entries.is_empty() {
             return;
         }
-        // Reuse the base allocation when this interner is its sole
-        // owner (the common capture-once case); clone it otherwise.
-        if Arc::get_mut(&mut self.base).is_none() {
-            self.base = Arc::new((*self.base).clone());
+        let base = Arc::make_mut(&mut self.base);
+        base.entries.append(&mut std::mem::take(&mut self.entries));
+        let mut overlay = std::mem::take(&mut self.by_path);
+        if overlay.len() > base.by_path.len() {
+            std::mem::swap(&mut overlay, &mut base.by_path);
         }
-        let base = Arc::get_mut(&mut self.base).expect("just made unique");
-        base.entries.append(&mut self.entries);
-        base.by_path.extend(self.by_path.drain());
+        base.by_path.extend(overlay);
     }
 
     /// The entry behind a symbol, wherever it lives.
@@ -220,7 +228,6 @@ impl Interner {
     /// `/`); this is not a validator.
     pub fn child(&mut self, parent: XsSym, name: &str) -> XsSym {
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
         let parent_path = self.path_str(parent);
         if parent_path != "/" {
             scratch.push_str(parent_path);
@@ -242,6 +249,7 @@ impl Interner {
                 sym
             }
         };
+        scratch.clear();
         self.scratch = scratch;
         sym
     }
@@ -264,7 +272,6 @@ impl Interner {
     /// allocations; uses the same scratch buffer as [`Interner::child`].
     pub fn resolve_child(&mut self, parent: XsSym, name: &str) -> Option<XsSym> {
         let mut scratch = std::mem::take(&mut self.scratch);
-        scratch.clear();
         let parent_path = self.path_str(parent);
         if parent_path != "/" {
             scratch.push_str(parent_path);
@@ -272,6 +279,7 @@ impl Interner {
         scratch.push('/');
         scratch.push_str(name);
         let sym = self.lookup(scratch.as_str());
+        scratch.clear();
         self.scratch = scratch;
         sym
     }
@@ -481,6 +489,80 @@ mod tests {
         i.freeze();
         assert_eq!(i.resolve("/new/leaf").map(XsSym::index), Some(before + 1));
         assert_eq!(i.intern("/a/x"), i.resolve("/a/x").unwrap());
+    }
+
+    #[test]
+    fn freeze_releases_the_overlay_and_clones_copy_no_table() {
+        let mut i = Interner::new();
+        for d in 0..200 {
+            i.intern(&format!("/local/domain/{d}/name"));
+        }
+        i.freeze();
+        assert_eq!(
+            i.by_path.capacity(),
+            0,
+            "freeze must release the overlay map"
+        );
+        assert_eq!(i.entries.capacity(), 0);
+        let fork = i.clone();
+        assert_eq!(
+            fork.by_path.capacity(),
+            0,
+            "a clone of a frozen table copies no map"
+        );
+        assert_eq!(fork.entries.capacity(), 0);
+        assert!(Arc::ptr_eq(&i.base, &fork.base));
+    }
+
+    #[test]
+    fn freezing_a_large_table_onto_the_root_only_base_keeps_every_link() {
+        let mut i = Interner::new();
+        let mut seen = Vec::new();
+        for d in 0..500u32 {
+            let dom = i.child_u32(XsSym::ROOT, d);
+            seen.push((i.child(dom, "name"), dom));
+            seen.push((i.intern(&format!("/{d}/device/vif/0")), dom));
+        }
+        let snapshot: Vec<(String, XsSym, u32)> = (0..i.len())
+            .map(|k| {
+                let s = XsSym(k as u32);
+                (i.path_str(s).to_owned(), i.parent(s), i.depth(s))
+            })
+            .collect();
+        i.freeze();
+        assert_eq!(i.len(), snapshot.len());
+        assert_eq!(i.base.by_path.len(), snapshot.len());
+        for (k, (path, parent, depth)) in snapshot.iter().enumerate() {
+            let s = XsSym(k as u32);
+            assert_eq!(i.resolve(path), Some(s), "{path}");
+            assert_eq!(i.path_str(s), path);
+            assert_eq!(i.parent(s), *parent);
+            assert_eq!(i.depth(s), *depth);
+        }
+        for (leaf, dom) in seen {
+            assert!(i.is_self_or_descendant_of(leaf, dom));
+        }
+    }
+
+    #[test]
+    fn freezing_a_fork_that_shares_the_base_leaves_the_fork_alone() {
+        let mut i = Interner::new();
+        let a = i.intern("/a/b");
+        i.freeze();
+        let fork = i.clone();
+        let c = i.intern("/c/d");
+        i.freeze();
+        assert!(
+            !Arc::ptr_eq(&i.base, &fork.base),
+            "a shared base is copied, not edited"
+        );
+        assert_eq!(fork.len(), c.index() - 1);
+        assert_eq!(fork.resolve("/a/b"), Some(a));
+        assert_eq!(fork.resolve("/c/d"), None);
+        assert_eq!(fork.resolve("/c"), None);
+        assert_eq!(i.resolve("/c/d"), Some(c));
+        assert_eq!(i.resolve("/a/b"), Some(a));
+        assert_eq!(i.parent(c), i.resolve("/c").unwrap());
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! watch against every write — a per-write cost that grows with the
 //! number of devices and guests in the system.
 
-use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::collections::{BTreeSet, VecDeque};
 use std::sync::Arc;
 
 use simcore::ChunkVec;
@@ -29,6 +29,18 @@ pub struct WatchEvent {
 /// Watches registered on one symbol: `(connection, token)` pairs.
 type WatchList = Vec<(u32, Arc<str>)>;
 
+/// One connection's side of the table.
+#[derive(Clone, Default, Debug)]
+struct ConnWatches {
+    /// Every symbol whose list holds an entry of this connection:
+    /// dropping the connection visits only its own lists instead of
+    /// every interned symbol. Pruned on unregister, so it is bounded by
+    /// the live watches (a booted guest holds one).
+    watched: BTreeSet<XsSym>,
+    /// Queued, undelivered events.
+    pending: VecDeque<WatchEvent>,
+}
+
 /// The registry of watches plus per-connection pending event queues.
 ///
 /// Watches are keyed by the *store's* interned path symbols (no second
@@ -37,6 +49,11 @@ type WatchList = Vec<(u32, Arc<str>)>;
 /// fired event costs two refcount bumps (path + token) instead of two
 /// string clones. The *charged* cost still counts every registered
 /// watch (what xenstored pays), reported via [`FireStats::checked`].
+///
+/// Both halves are copy-on-write [`ChunkVec`]s — the watch lists keyed
+/// by symbol, the per-connection state keyed by connection id (a
+/// domid) — so a world fork costs O(chunks) and a write after it
+/// copies only the chunk and connection it touches.
 #[derive(Clone, Default, Debug)]
 pub struct WatchTable {
     /// Watch lists, indexed by store symbol. CoW-chunked: a dense
@@ -44,12 +61,7 @@ pub struct WatchTable {
     /// every world clone (most slots are empty ancestor entries).
     by_sym: ChunkVec<WatchList>,
     count: usize,
-    /// `(conn, sym)` for every symbol whose list holds an entry of
-    /// `conn`: dropping a connection visits only its own lists instead
-    /// of every interned symbol. Pruned on unregister, so it is bounded
-    /// by the live watches (a booted guest holds one pair).
-    watched: BTreeSet<(u32, XsSym)>,
-    pending: BTreeMap<u32, VecDeque<WatchEvent>>,
+    conns: ChunkVec<Option<Arc<ConnWatches>>>,
 }
 
 /// Outcome of checking a mutation against the table (for cost charging).
@@ -77,12 +89,13 @@ impl WatchTable {
     /// the client can synchronise.
     pub fn register(&mut self, store: &Store, conn: u32, sym: XsSym, token: impl Into<Arc<str>>) {
         let token = token.into();
-        self.pending.entry(conn).or_default().push_back(WatchEvent {
+        let c = self.conns.value_or_default(conn as usize);
+        c.pending.push_back(WatchEvent {
             path: store.path_of(sym),
             token: token.clone(),
         });
+        c.watched.insert(sym);
         self.by_sym.get_mut(sym.index()).push((conn, token));
-        self.watched.insert((conn, sym));
         self.count += 1;
     }
 
@@ -111,7 +124,9 @@ impl WatchTable {
         list.retain(|e| !hit(e));
         let removed = before - list.len();
         if !list.iter().any(|(c, _)| *c == conn) {
-            self.watched.remove(&(conn, sym));
+            if let Some(c) = self.conns.value_mut(conn as usize) {
+                c.watched.remove(&sym);
+            }
         }
         self.count -= removed;
         removed > 0
@@ -119,39 +134,35 @@ impl WatchTable {
 
     /// The symbols `conn` holds at least one watch on, ascending.
     pub fn watched_by(&self, conn: u32) -> impl Iterator<Item = XsSym> + '_ {
-        self.watched
-            .range((conn, XsSym::ROOT)..)
-            .take_while(move |&&(c, _)| c == conn)
-            .map(|&(_, sym)| sym)
+        self.conns
+            .value(conn as usize)
+            .into_iter()
+            .flat_map(|c| c.watched.iter().copied())
     }
 
     /// Iterates `(conn, queued events)` over every connection with a
     /// non-empty pending queue, in ascending connection order (the map
     /// is ordered — deterministic for digesting).
     pub fn pending_counts(&self) -> impl Iterator<Item = (u32, usize)> + '_ {
-        self.pending
-            .iter()
-            .filter(|(_, q)| !q.is_empty())
-            .map(|(&conn, q)| (conn, q.len()))
+        self.conns
+            .values()
+            .filter(|(_, c)| !c.pending.is_empty())
+            .map(|(conn, c)| (conn as u32, c.pending.len()))
     }
 
     /// Drops all watches and pending events of a connection (domain
     /// death). O(the connection's own watches), through the
     /// per-connection index.
     pub fn drop_conn(&mut self, conn: u32) {
-        while let Some(&(_, sym)) = self
-            .watched
-            .range((conn, XsSym::ROOT)..)
-            .next()
-            .filter(|(c, _)| *c == conn)
-        {
-            self.watched.remove(&(conn, sym));
+        let Some(c) = self.conns.remove(conn as usize) else {
+            return;
+        };
+        for sym in &c.watched {
             let list = self.by_sym.get_mut(sym.index());
             let before = list.len();
             list.retain(|(c, _)| *c != conn);
             self.count -= before - list.len();
         }
-        self.pending.remove(&conn);
     }
 
     /// Records that the node at `sym` was mutated, queueing events for
@@ -172,9 +183,9 @@ impl WatchTable {
             if !list.is_empty() {
                 let path = store.path_of(sym);
                 for (conn, token) in list {
-                    self.pending
-                        .entry(*conn)
-                        .or_default()
+                    self.conns
+                        .value_or_default(*conn as usize)
+                        .pending
                         .push_back(WatchEvent {
                             path: path.clone(),
                             token: token.clone(),
@@ -197,10 +208,16 @@ impl WatchTable {
     /// Allocates the returned `Vec`; the hot paths use
     /// [`WatchTable::take_events_into`] or [`WatchTable::drain_events`].
     pub fn take_events(&mut self, conn: u32) -> Vec<WatchEvent> {
-        self.pending
-            .get_mut(&conn)
-            .map(|q| q.drain(..).collect())
-            .unwrap_or_default()
+        let mut out = Vec::new();
+        self.take_events_into(conn, &mut out);
+        out
+    }
+
+    /// `conn`'s pending queue for draining; `None` (and no chunk copy)
+    /// when nothing is queued.
+    fn pending_mut(&mut self, conn: u32) -> Option<&mut VecDeque<WatchEvent>> {
+        self.conns.value(conn as usize)?.pending.front()?;
+        Some(&mut self.conns.value_mut(conn as usize)?.pending)
     }
 
     /// Moves all pending events for a connection into `out` (cleared
@@ -208,7 +225,7 @@ impl WatchTable {
     /// in steady state.
     pub fn take_events_into(&mut self, conn: u32, out: &mut Vec<WatchEvent>) {
         out.clear();
-        if let Some(q) = self.pending.get_mut(&conn) {
+        if let Some(q) = self.pending_mut(conn) {
             out.extend(q.drain(..));
         }
     }
@@ -216,7 +233,7 @@ impl WatchTable {
     /// Discards all pending events for a connection, returning how many
     /// there were. For callers that only need the count (and the charge).
     pub fn drain_events(&mut self, conn: u32) -> usize {
-        match self.pending.get_mut(&conn) {
+        match self.pending_mut(conn) {
             Some(q) => {
                 let n = q.len();
                 q.clear();
@@ -228,7 +245,7 @@ impl WatchTable {
 
     /// Number of events pending for a connection.
     pub fn pending_count(&self, conn: u32) -> usize {
-        self.pending.get(&conn).map(VecDeque::len).unwrap_or(0)
+        self.conns.value(conn as usize).map_or(0, |c| c.pending.len())
     }
 }
 

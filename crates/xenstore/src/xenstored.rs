@@ -15,10 +15,10 @@
 //! to the main store, so conflicts and retries are real, not sampled
 //! outcomes.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::HashMap;
 use std::sync::Arc;
 
-use simcore::{Category, CostModel, Meter, SimRng, SimTime};
+use simcore::{Category, ChunkVec, CostModel, Meter, SimRng, SimTime};
 
 use crate::log::{AccessLog, LogOutcome};
 use crate::path::XsPath;
@@ -29,6 +29,31 @@ use crate::watch::{WatchEvent, WatchTable};
 
 /// Finished transactions kept for reuse (overlay/log capacity).
 const TXN_POOL_MAX: usize = 32;
+
+/// Finished transactions kept for reuse ([`Txn::reset`]), so
+/// steady-state `txn_start` allocates nothing. A cache, not daemon
+/// state: a clone (a world fork) starts with an empty pool instead of
+/// copying the pooled transactions' cleared-but-full overlay tables.
+#[derive(Default)]
+struct TxnPool(Vec<Txn>);
+
+impl Clone for TxnPool {
+    fn clone(&self) -> Self {
+        TxnPool::default()
+    }
+}
+
+impl TxnPool {
+    fn take(&mut self) -> Option<Txn> {
+        self.0.pop()
+    }
+
+    fn put(&mut self, txn: Txn) {
+        if self.0.len() < TXN_POOL_MAX {
+            self.0.push(txn);
+        }
+    }
+}
 
 /// A connection identifier (the domain id of the client).
 pub type ConnId = u32;
@@ -79,7 +104,10 @@ pub struct Xenstored {
     store: Store,
     txns: HashMap<TxnId, Txn>,
     watches: WatchTable,
-    conns: BTreeSet<ConnId>,
+    /// Open connections, by id (a domid); CoW-chunked so a world fork
+    /// costs O(chunks).
+    conns: ChunkVec<bool>,
+    conn_count: usize,
     log: AccessLog,
     flavor: Flavor,
     next_txn: u64,
@@ -95,9 +123,7 @@ pub struct Xenstored {
     /// Pre-interned `/vm` (the store interns `/local/domain` itself):
     /// every domain/device path is composed from these by symbol hops.
     vm_root: XsSym,
-    /// Recycled transactions ([`Txn::reset`]) so steady-state
-    /// `txn_start` allocates nothing.
-    txn_pool: Vec<Txn>,
+    txn_pool: TxnPool,
     /// Scratch for commit-fired symbols (watch dispatch).
     fired_scratch: Vec<XsSym>,
     /// Scratch for interference victim candidates.
@@ -107,8 +133,8 @@ pub struct Xenstored {
 impl Xenstored {
     /// Creates a daemon with Dom0 connected.
     pub fn new(flavor: Flavor, seed: u64) -> Xenstored {
-        let mut conns = BTreeSet::new();
-        conns.insert(0);
+        let mut conns = ChunkVec::new(false);
+        *conns.get_mut(0) = true;
         let store = Store::new();
         let vm_root = store.child_sym(XsSym::ROOT, "vm");
         Xenstored {
@@ -116,6 +142,7 @@ impl Xenstored {
             txns: HashMap::new(),
             watches: WatchTable::new(),
             conns,
+            conn_count: 1,
             log: AccessLog::default(),
             flavor,
             next_txn: 1,
@@ -124,7 +151,7 @@ impl Xenstored {
             rng: SimRng::new(seed),
             stats: XsStats::default(),
             vm_root,
-            txn_pool: Vec::new(),
+            txn_pool: TxnPool::default(),
             fired_scratch: Vec::new(),
             victim_scratch: Vec::new(),
         }
@@ -159,7 +186,7 @@ impl Xenstored {
 
     /// Number of open connections.
     pub fn conn_count(&self) -> usize {
-        self.conns.len()
+        self.conn_count
     }
 
     /// Enables/disables access logging (spike ablation).
@@ -230,9 +257,7 @@ impl Xenstored {
     /// evil twin).
     pub fn crash_and_restart(&mut self, cost: &CostModel, meter: &mut Meter) {
         for (_, txn) in self.txns.drain() {
-            if self.txn_pool.len() < TXN_POOL_MAX {
-                self.txn_pool.push(txn);
-            }
+            self.txn_pool.put(txn);
         }
         self.charge(
             meter,
@@ -244,13 +269,19 @@ impl Xenstored {
 
     /// Opens a connection for a domain.
     pub fn connect(&mut self, conn: ConnId) {
-        self.conns.insert(conn);
+        if !self.conns.get(conn as usize) {
+            *self.conns.get_mut(conn as usize) = true;
+            self.conn_count += 1;
+        }
     }
 
     /// Closes a connection, dropping its watches, events and open
     /// transactions.
     pub fn disconnect(&mut self, conn: ConnId) {
-        self.conns.remove(&conn);
+        if *self.conns.get(conn as usize) {
+            *self.conns.get_mut(conn as usize) = false;
+            self.conn_count -= 1;
+        }
         self.watches.drop_conn(conn);
         self.txns.retain(|_, t| t.conn != conn);
     }
@@ -339,7 +370,7 @@ impl Xenstored {
             .xs_process_base
             .scale(self.flavor.process_mult());
         dt += cost.xs_payload_per_byte * payload as u64;
-        dt += cost.xs_poll_per_conn * self.conns.len() as u64;
+        dt += cost.xs_poll_per_conn * self.conn_count as u64;
         match self.log.append() {
             LogOutcome::Disabled => {}
             LogOutcome::Line => dt += cost.xs_log_line,
@@ -574,7 +605,7 @@ impl Xenstored {
         let per_request = cost.xs_soft_interrupt * 4
             + cost.xs_domain_crossing * 4
             + cost.xs_process_base.scale(self.flavor.process_mult())
-            + cost.xs_poll_per_conn * self.conns.len() as u64;
+            + cost.xs_poll_per_conn * self.conn_count as u64;
         let mut dt = per_request * requests;
         dt += cost.xs_payload_per_byte * payload;
         dt += cost.xs_dir_per_entry * entries;
@@ -731,7 +762,7 @@ impl Xenstored {
         self.charge_protocol(cost, meter, 0);
         let id = TxnId(self.next_txn);
         self.next_txn += 1;
-        let txn = match self.txn_pool.pop() {
+        let txn = match self.txn_pool.take() {
             Some(mut t) => {
                 t.reset(id, conn, &self.store);
                 t
@@ -749,9 +780,7 @@ impl Xenstored {
     }
 
     fn recycle_txn(&mut self, txn: Txn) {
-        if self.txn_pool.len() < TXN_POOL_MAX {
-            self.txn_pool.push(txn);
-        }
+        self.txn_pool.put(txn);
     }
 
     /// Runs `f` with the transaction and an immutable view of the main
@@ -952,6 +981,7 @@ impl Xenstored {
                         .unwrap_or_else(|_| self.store.empty_rc());
                     let _ = self.store.write_rc_sym(0, victim, &value);
                 }
+                candidates.clear();
                 self.victim_scratch = candidates;
             }
         }
@@ -977,6 +1007,7 @@ impl Xenstored {
             }
             Err(e) => Err(e),
         };
+        fired.clear();
         self.fired_scratch = fired;
         self.recycle_txn(txn);
         result
@@ -1296,6 +1327,34 @@ mod tests {
         xs.txn_end(&cost, &mut meter, 0, id2, true).unwrap();
         assert_eq!(xs.stats().txn_commits, 2);
         assert_eq!(xs.stats().txn_conflicts, 0);
+    }
+
+    #[test]
+    fn a_clone_copies_neither_the_txn_pool_nor_stale_scratch() {
+        let (mut xs, cost, mut meter) = setup();
+        for i in 0..4 {
+            let id = xs.txn_start(&cost, &mut meter, 0);
+            for j in 0..20 {
+                let path = p(&format!("/t{i}/n{j}"));
+                xs.txn_write(&cost, &mut meter, 0, id, &path, b"v").unwrap();
+            }
+            xs.txn_end(&cost, &mut meter, 0, id, true).unwrap();
+        }
+        assert_eq!(xs.txn_pool.0.len(), 1, "the finished txn is pooled");
+        assert!(xs.fired_scratch.is_empty() && xs.fired_scratch.capacity() > 0);
+        let fork = xs.clone();
+        assert!(fork.txn_pool.0.is_empty(), "a fork starts with an empty pool");
+        assert_eq!(fork.fired_scratch.capacity(), 0);
+        // The fork still runs transactions, byte-for-byte like the
+        // original.
+        let mut a = fork.clone();
+        for d in [&mut xs, &mut a] {
+            let id = d.txn_start(&cost, &mut meter, 0);
+            d.txn_write(&cost, &mut meter, 0, id, &p("/t0/n0"), b"w").unwrap();
+            d.txn_end(&cost, &mut meter, 0, id, true).unwrap();
+        }
+        assert_eq!(a.stats(), xs.stats());
+        assert_eq!(a.store().subtree_digest(), xs.store().subtree_digest());
     }
 
     #[test]
